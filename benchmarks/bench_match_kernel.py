@@ -31,7 +31,7 @@ free everywhere.
 
 Every run additionally asserts tick-for-tick equivalence of all four
 kernels against the scalar baseline across the shipping transports:
-unsharded, sharded serial/process, and resident serial/process.
+unsharded, and sharded on the serial and process shard transports.
 
 Run ``python benchmarks/bench_match_kernel.py`` for the table,
 ``--smoke`` for a seconds-long CI-sized run (equivalence assertions
@@ -81,13 +81,11 @@ SMOKE_DENSE = dict(n_objects=3_000, n_snapshots=10, hotspots=12,
 FULL_SMALL = dict(n_objects=2500, n_snapshots=36, churn=0.15, warmup=8)
 SMOKE_SMALL = dict(n_objects=120, n_snapshots=12, churn=0.15, warmup=3)
 
-#: (shards, executor, resident) transports of the equivalence grid.
+#: (shards, executor) transports of the equivalence grid.
 TRANSPORTS = (
-    (None, None, False),
-    (2, "serial", False),
-    (2, "process", False),
-    (2, "serial", True),
-    (2, "process", True),
+    (None, None),
+    (2, "serial"),
+    (2, "process"),
 )
 
 
@@ -214,11 +212,10 @@ def check_transports(ticks, clusters):
     """Assert tick-for-tick equivalence across kernels x transports."""
     baseline = None
     for kernel in KERNELS:
-        for shards, executor, resident in TRANSPORTS:
+        for shards, executor in TRANSPORTS:
             miner = StreamingConvoyMiner(
                 M, K, EPS, clusterer=ReplayClusterer(clusters),
                 match_kernel=kernel, shards=shards, executor=executor,
-                resident=resident,
             )
             emitted = []
             with miner:
@@ -230,8 +227,7 @@ def check_transports(ticks, clusters):
             else:
                 assert emitted == baseline, (
                     f"kernel {kernel} diverged on transport "
-                    f"(shards={shards}, executor={executor}, "
-                    f"resident={resident})"
+                    f"(shards={shards}, executor={executor})"
                 )
     return len(KERNELS) * len(TRANSPORTS)
 

@@ -1,29 +1,35 @@
-"""Sharded candidate tracking — scaling curve at 1/2/4 shards by executor.
+"""Sharded candidate tracking — scaling curve at 1/2/4 shards per transport.
 
-The staged pipeline makes the candidate tracker swappable, and the
-sharding layer fans its per-tick matching work across executor backends;
-this bench answers the questions that decide whether that layer may
-exist at all:
+Sharding fans the per-tick candidate join across resident shard
+workers: the in-process serial twin, or one spawned process per shard.
+This bench answers the questions that decide whether the layer may
+exist at all, and says where its time goes:
 
-* **Zero-overhead refactor** — the sharded tracker on the *serial*
-  executor must hold within 10% of the unsharded engine (``SERIAL_BAR``),
-  at 1 shard (pure layer cost) and as shards grow (routing cost).
-* **Real scaling** — the *process* executor must show a measurable
-  multi-core speedup on a tracker-bound workload (``PROCESS_BAR``,
-  asserted only when the machine actually has >1 core; single-core
-  hosts still record the rows so the JSON trajectory shows the
-  overhead honestly).
-* **Resident payload win** — the resident transports hold shard state
-  inside long-lived workers, so only per-tick deltas cross the process
-  boundary.  The byte pass below runs a delta-friendly *group-swap*
-  workload through the stateless and resident sharded trackers with
-  pickle-level byte accounting and asserts the resident payload per
-  tick is at least ``BYTES_BAR`` times smaller (the stateless path
-  re-ships every scanned candidate's object set and the tick's cluster
-  sets every tick; resident mode ships cluster ids, dirty members, and
-  splice/seed deltas).  The payload ratio is transport-independent, so
-  the pass runs on the serial executor and holds for process workers
-  byte for byte.
+* **Zero-overhead layer** — the sharded tracker on the *serial* twin
+  must hold within 10% of the unsharded engine's tick cost
+  (``SERIAL_BAR``), at 1 shard (pure layer cost) and as shards grow
+  (routing cost).
+* **Real scaling** — the *process* transport must show a measurable
+  speedup on a tracker-bound workload (``PROCESS_BAR``), asserted only
+  when the host can run two CPU-bound processes in parallel: the
+  in-run two-process ceiling (``perfbench.host.parallel_ceiling``) must
+  reach ``CEILING_GATE``.  Below it the rows are still recorded, so the
+  JSON trajectory shows the overhead honestly.
+* **Payload win** — workers hold their shard's candidate sets, so only
+  per-tick deltas cross the boundary.  The byte pass runs a
+  delta-friendly *group-swap* workload with pickle-level byte
+  accounting and asserts the per-tick payload (requests plus
+  responses) is at least ``BYTES_BAR`` times smaller than what a
+  stateless transport would have to ship: every cluster set plus each
+  scanned candidate's object set, pickled in the same run.
+* **Attribution** — every sharded cell splits its tick into the
+  parent's ``reconcile`` (apply-pass provenance into chain ids and
+  put/drop deltas), ``build`` (routing jobs and building the shard
+  messages), the transport's ``run`` (the workers' kernels plus any
+  IPC) and ``merge`` (re-deriving the winning intersections from match
+  indexes), timed with :class:`repro.bench.PhaseTimer` around those
+  seams from outside the tracker.  The unsharded baseline reports its
+  ``match`` (the inline kernel) for comparison with ``run``.
 
 The timing workload is deliberately tracker-bound: a
 ``synthetic_stream`` with many planted co-travelling groups is
@@ -33,10 +39,18 @@ per-tick cost is almost entirely the candidate step (hundreds of
 clusters joined against >1000 live candidates).  ``--hotspots H`` swaps
 in a ``churn_stream(hotspots=H)`` workload instead — movement confined
 to H seeded spatial hotspots — to chart the unbalanced-shard regime
-(``max_shard_batch`` exposes the skew).  ``--resident`` extends the
-timing grid with resident-transport cells (wall-clock is reported for
-the trajectory but not gated — the resident win is bytes, asserted
-above, not single-host speed).
+(``max_shard_batch`` exposes the skew).
+
+Timing estimator: the unsharded baseline and every cell run in
+*lockstep* — every engine gets tick ``t`` before any gets ``t + 1``, in
+an order rotated per tick — over ``reps`` rounds, and a cell's tick
+cost is the median over tick positions of the per-tick **minimum**
+across rounds (the estimator ``bench_match_kernel.py`` documents:
+scheduling noise only adds time).  Lockstep pairs every cell's sample
+of a tick with the baseline's, taken moments apart: on a shared host
+the speed of a fixed probe loop drifts by tens of percent between
+whole runs, and interleaving whole runs left that drift in the
+ratios.
 
 Every configuration's per-tick emissions are asserted equal to the
 unsharded engine's on every run — the scaling numbers carry no semantic
@@ -52,11 +66,15 @@ CI uploads as a perf-trajectory artifact
 
 import argparse
 import os
+import pickle
 import random
+import statistics
 import time
+from contextlib import ExitStack
 
-from benchmarks.common import print_report, write_bench_json
-from repro.bench import format_table
+from benchmarks.common import print_report, safe_rate, write_bench_json
+from perfbench.host import parallel_ceiling
+from repro.bench import PhaseTimer, format_table
 from repro.clustering.dbscan import dbscan
 from repro.clustering.incremental import (
     APPEARED,
@@ -64,42 +82,32 @@ from repro.clustering.incremental import (
     UNCHANGED,
     ClusterDelta,
 )
-from repro.streaming import StreamingConvoyMiner, churn_stream, synthetic_stream
+from repro.streaming import (
+    ShardedCandidateTracker,
+    StreamingConvoyMiner,
+    churn_stream,
+    synthetic_stream,
+)
 
 M, K, EPS = 3, 8, 10.0
 
-#: (shards, executor, resident) cells of the scaling curve, in report
-#: order (legacy 2-tuples are accepted and mean resident=False).
+#: (shards, executor) cells of the scaling curve, in report order.
 FULL_GRID = (
-    (1, "serial", False),
-    (2, "serial", False),
-    (4, "serial", False),
-    (2, "thread", False),
-    (4, "thread", False),
-    (1, "process", False),
-    (2, "process", False),
-    (4, "process", False),
+    (1, "serial"),
+    (2, "serial"),
+    (4, "serial"),
+    (2, "process"),
+    (4, "process"),
 )
 SMOKE_GRID = (
-    (1, "serial", False),
-    (2, "serial", False),
-    (2, "thread", False),
-    (2, "process", False),
+    (1, "serial"),
+    (2, "serial"),
+    (2, "process"),
 )
 
-#: Extra cells appended by ``--resident`` (wall-clock recorded, not
-#: gated; tick-equivalence asserted like every other cell).
-RESIDENT_FULL_GRID = (
-    (2, "serial", True),
-    (4, "serial", True),
-    (2, "process", True),
-    (4, "process", True),
-)
-RESIDENT_SMOKE_GRID = (
-    (2, "serial", True),
-    (2, "thread", True),
-    (2, "process", True),
-)
+#: Interleaved timing rounds per cell.
+FULL_REPS = 5
+SMOKE_REPS = 1
 
 FULL_SCALE = dict(n_objects=1600, n_snapshots=60, group_count=200,
                   group_size=8)
@@ -108,20 +116,36 @@ SMOKE_SCALE = dict(n_objects=240, n_snapshots=15, group_count=40,
 
 #: Group-swap delta workload scales for the byte pass: ``dirty_groups``
 #: swap pairs mutate per tick, every other cluster arrives UNCHANGED,
-#: so the resident payload tracks the dirty slice while the stateless
-#: payload re-ships scanned state every tick.
+#: so the shipped deltas track the dirty slice while a stateless
+#: transport would re-ship the scanned state every tick.
 BYTES_FULL_SCALE = dict(n_groups=240, group_size=16, n_snapshots=80,
                         dirty_groups=4)
 BYTES_SMOKE_SCALE = dict(n_groups=120, group_size=16, n_snapshots=50,
                          dirty_groups=2)
 
-#: serial-executor rate must stay within this fraction of unsharded.
+#: serial-twin tick cost must stay within this fraction of unsharded.
 SERIAL_BAR = 0.90
-#: best process-executor speedup must clear this (multi-core hosts only).
+#: best process-transport speedup must clear this ...
 PROCESS_BAR = 1.10
-#: resident payload bytes/tick must be at least this many times smaller
-#: than the stateless sharded payload on the group-swap workload.
+#: ... when the measured two-process parallel ceiling reaches this.
+CEILING_GATE = 1.5
+#: payload bytes/tick must be at least this many times smaller than
+#: the stateless batch (cluster sets + scanned candidates' object sets).
 BYTES_BAR = 5.0
+
+#: The sharded tick's attributed seams, in tick order.
+PHASES = ("reconcile", "build", "run", "merge")
+
+#: Fields every result row carries (pinned by the schema guard in
+#: ``tests/test_bench_harness.py``).
+ROW_KEYS = {
+    "shards", "executor", "workload", "reps", "rate", "tick_ms",
+    "speedup_vs_unsharded", "convoys", "peak_candidates",
+    "sharded_candidates", "max_shard_batch", "seconds", "phase_ms",
+    "shipped_bytes_per_tick", "result_bytes_per_tick",
+    "payload_bytes_per_tick", "stateless_bytes_per_tick",
+    "payload_reduction",
+}
 
 
 class ReplayClusterer:
@@ -209,127 +233,205 @@ def make_delta_workload(n_groups, group_size, n_snapshots, dirty_groups,
     return [snapshot] * n_snapshots, per_tick
 
 
-def run_engine(snapshots, make_clusterer, shards=None, executor=None,
-               resident=False, byte_accounting=False):
-    """One full engine run; returns (per-tick emissions, counters, secs)."""
+def _time_seam(obj, attr, timer, phase):
+    """Replace ``obj.attr`` (an instance attribute only — no class is
+    patched) with a wrapper accumulating its time under ``phase``."""
+    inner = getattr(obj, attr)
+
+    def timed(*args, **kwargs):
+        with timer.phase(phase):
+            return inner(*args, **kwargs)
+
+    setattr(obj, attr, timed)
+
+
+def attribute_phases(tracker, timer):
+    """Time the tracker's per-tick seams into ``timer``: the sharded
+    tick's :data:`PHASES`, or the unsharded tracker's inline ``match``."""
+    if not isinstance(tracker, ShardedCandidateTracker):
+        _time_seam(tracker, "_match_live", timer, "match")
+        return
+    _time_seam(tracker, "_reconcile", timer, "reconcile")
+    _time_seam(tracker, "_build_batches", timer, "build")
+    _time_seam(tracker.executor, "run", timer, "run")
+    _time_seam(tracker, "_merge_responses", timer, "merge")
+
+
+def count_stateless_bytes(tracker, counters):
+    """Add ``stateless_bytes`` to ``counters``: per tick, the pickled
+    size of what a stateless transport ships — every cluster set plus
+    each scanned candidate's object set."""
+    inner = tracker._match_live
+    counters["stateless_bytes"] = 0
+
+    def counted(members, jobs):
+        counters["stateless_bytes"] += len(
+            pickle.dumps((members, jobs), pickle.HIGHEST_PROTOCOL)
+        )
+        return inner(members, jobs)
+
+    tracker._match_live = counted
+
+
+def build_miner(make_clusterer, shards=None, executor=None, timer=None,
+                byte_accounting=False):
+    """One engine over a replaying clusterer, optionally instrumented."""
     miner = StreamingConvoyMiner(
         M, K, EPS, clusterer=make_clusterer(), shards=shards,
-        executor=executor, resident=resident,
+        executor=executor,
     )
+    tracker = miner.pipeline.track.tracker
+    if timer is not None:
+        attribute_phases(tracker, timer)
     if byte_accounting:
-        miner.pipeline.track.tracker.enable_byte_accounting()
+        tracker.enable_byte_accounting()
+        count_stateless_bytes(tracker, miner.counters)
+    return miner
+
+
+def run_engine(snapshots, make_clusterer, **kwargs):
+    """One full engine run; returns (per-tick emissions, counters)."""
+    miner = build_miner(make_clusterer, **kwargs)
     emitted = []
-    started = time.perf_counter()
     with miner:
         for t, snapshot in enumerate(snapshots):
             emitted.append(miner.feed(t, snapshot))
         emitted.append(miner.flush())
-    return emitted, miner.counters, time.perf_counter() - started
+    return emitted, miner.counters
 
 
-def _grid_cell(cell):
-    """Normalize a grid cell: (shards, executor[, resident])."""
-    shards, executor = cell[0], cell[1]
-    resident = cell[2] if len(cell) > 2 else False
-    return shards, executor, resident
+def tick_cost(rounds):
+    """Median over tick positions of the per-tick minimum across
+    rounds (``rounds`` holds one per-feed list per round)."""
+    return statistics.median(min(col) for col in zip(*rounds))
 
 
-def _row(shards, executor, resident, workload, n, seconds, base_seconds,
-         emitted, counters, bytes_per_tick=(None, None)):
-    shipped, result = bytes_per_tick
-    payload = None if shipped is None else shipped + result
+def _row(shards, executor, workload, reps, emitted, counters,
+         tick_seconds=None, base_tick=None, phases=None):
+    """One result row; ``tick_seconds`` holds one per-feed wall-time
+    list per round."""
+    tick = None if tick_seconds is None else tick_cost(tick_seconds)
+    n_ticks = sum(len(rep) for rep in tick_seconds or ())
     return {
         "shards": shards,
         "executor": executor,
-        "resident": resident,
         "workload": workload,
-        "rate": n / seconds,
-        "speedup_vs_unsharded": base_seconds / seconds,
+        "reps": reps,
+        "rate": None if tick is None else safe_rate(1, tick),
+        "tick_ms": None if tick is None else tick * 1000.0,
+        "speedup_vs_unsharded": (
+            None if tick is None or base_tick is None
+            else safe_rate(base_tick, tick)
+        ),
         "convoys": sum(len(batch) for batch in emitted),
         "peak_candidates": counters["peak_candidates"],
-        "sharded_candidates": counters["sharded_candidates"],
-        "max_shard_batch": counters["max_shard_batch"],
-        "seconds": seconds,
-        "shipped_bytes_per_tick": shipped,
-        "result_bytes_per_tick": result,
-        "payload_bytes_per_tick": payload,
+        "sharded_candidates": counters.get("sharded_candidates", 0),
+        "max_shard_batch": counters.get("max_shard_batch", 0),
+        "seconds": sum(sum(rep) for rep in tick_seconds or ()),
+        "phase_ms": None if phases is None else {
+            name: 1000.0 * seconds / n_ticks
+            for name, seconds in phases.durations.items()
+        },
+        "shipped_bytes_per_tick": None,
+        "result_bytes_per_tick": None,
+        "payload_bytes_per_tick": None,
+        "stateless_bytes_per_tick": None,
         "payload_reduction": None,
     }
 
 
-def run_grid(scale, grid, hotspots=None):
-    """Run the unsharded baseline plus every grid cell; assert per-tick
-    equivalence; return (baseline_row, rows)."""
+def run_grid(scale, grid, hotspots=None, reps=1):
+    """Time the unsharded baseline and every grid cell in lockstep over
+    ``reps`` rounds; assert per-tick equivalence on every round; return
+    (baseline_row, rows).
+
+    Within a round every engine is fed tick ``t`` before any engine sees
+    tick ``t + 1``, in an order rotated per tick and per round, so each
+    cell's sample of a tick is taken within a few hundred milliseconds
+    of the baseline's: host-speed drift, which on a shared host moves
+    whole runs by tens of percent, lands on every cell alike.
+    """
     snapshots, clusters = make_workload(scale, hotspots=hotspots)
     workload = (
         "planted groups" if hotspots is None
         else f"hotspot churn (H={hotspots})"
     )
     make_clusterer = lambda: ReplayClusterer(clusters)  # noqa: E731
-    base_emitted, base_counters, base_seconds = run_engine(
-        snapshots, make_clusterer
-    )
-    n = len(snapshots)
-    baseline = _row(
-        0, "unsharded", False, workload, n, base_seconds, base_seconds,
-        base_emitted, dict(base_counters, sharded_candidates=0,
-                           max_shard_batch=0),
-    )
-    rows = []
-    for cell in grid:
-        shards, executor, resident = _grid_cell(cell)
-        emitted, counters, seconds = run_engine(
-            snapshots, make_clusterer, shards=shards, executor=executor,
-            resident=resident,
-        )
-        assert emitted == base_emitted, (
-            f"sharded engine diverged from unsharded at shards={shards}, "
-            f"executor={executor}, resident={resident}"
-        )
-        rows.append(_row(
-            shards, executor, resident, workload, n, seconds,
-            base_seconds, emitted, counters,
-        ))
-    return baseline, rows
+    cells = [(None, None)] + [tuple(cell) for cell in grid]
+    times = {cell: [] for cell in cells}
+    timers = {cell: PhaseTimer() for cell in cells}
+    for rep in range(reps):
+        emitted = {cell: [] for cell in cells}
+        with ExitStack() as stack:
+            miners = {
+                cell: stack.enter_context(build_miner(
+                    make_clusterer, *cell, timer=timers[cell]
+                ))
+                for cell in cells
+            }
+            for cell in cells:
+                times[cell].append([])
+            for t, snapshot in enumerate(snapshots):
+                offset = (rep + t) % len(cells)
+                for cell in cells[offset:] + cells[:offset]:
+                    started = time.perf_counter()
+                    emitted[cell].append(miners[cell].feed(t, snapshot))
+                    times[cell][-1].append(time.perf_counter() - started)
+            for cell in cells:
+                emitted[cell].append(miners[cell].flush())
+        for shards, executor in cells[1:]:
+            assert emitted[(shards, executor)] == emitted[cells[0]], (
+                f"sharded engine diverged from unsharded at "
+                f"shards={shards}, executor={executor}"
+            )
+    base_tick = tick_cost(times[cells[0]])
+    rows = [
+        _row(shards or 0, executor or "unsharded", workload, reps,
+             emitted[(shards, executor)], miners[(shards, executor)].counters,
+             tick_seconds=times[(shards, executor)], base_tick=base_tick,
+             phases=timers[(shards, executor)])
+        for shards, executor in cells
+    ]
+    return rows[0], rows[1:]
 
 
 def run_bytes(scale):
-    """The byte pass: group-swap workload through the stateless and
-    resident sharded trackers with pickle-level accounting.
+    """The byte pass: the group-swap workload through a 2-shard serial
+    tracker with pickle-level accounting of what it ships *and* of the
+    stateless batch for the same ticks.
 
-    Returns ``(rows, reduction)`` — two rows (stateless, resident) plus
-    the stateless/resident payload ratio, which the caller asserts
-    against ``BYTES_BAR``.  Serial executor: the accounting pickles
-    exactly what a process transport would ship, so the ratio is
+    Returns ``(row, reduction)`` — the stateless/shipped payload ratio,
+    which the caller asserts against ``BYTES_BAR``.  The serial twin
+    pickles exactly what the process transport ships, so the ratio is
     transport-independent.
     """
     snapshots, per_tick = make_delta_workload(**scale)
     make_clusterer = lambda: ReplayDeltaClusterer(per_tick)  # noqa: E731
-    base_emitted, _counters, base_seconds = run_engine(
-        snapshots, make_clusterer
+    base_emitted, _counters = run_engine(snapshots, make_clusterer)
+    emitted, counters = run_engine(
+        snapshots, make_clusterer, shards=2, executor="serial",
+        byte_accounting=True,
+    )
+    assert emitted == base_emitted, (
+        "byte-pass engine diverged from unsharded"
     )
     n = len(snapshots)
-    rows = []
-    for resident in (False, True):
-        emitted, counters, seconds = run_engine(
-            snapshots, make_clusterer, shards=2, executor="serial",
-            resident=resident, byte_accounting=True,
-        )
-        assert emitted == base_emitted, (
-            f"byte-pass engine diverged from unsharded "
-            f"(resident={resident})"
-        )
-        rows.append(_row(
-            2, "serial", resident, "group swap", n, seconds, base_seconds,
-            emitted, counters,
-            bytes_per_tick=(counters["shipped_bytes"] / n,
-                            counters["result_bytes"] / n),
-        ))
-    reduction = (
-        rows[0]["payload_bytes_per_tick"] / rows[1]["payload_bytes_per_tick"]
+    row = _row(2, "serial", "group swap", 1, emitted, counters)
+    row["shipped_bytes_per_tick"] = counters["shipped_bytes"] / n
+    row["result_bytes_per_tick"] = counters["result_bytes"] / n
+    row["payload_bytes_per_tick"] = (
+        row["shipped_bytes_per_tick"] + row["result_bytes_per_tick"]
     )
-    rows[1]["payload_reduction"] = reduction
-    return rows, reduction
+    row["stateless_bytes_per_tick"] = counters["stateless_bytes"] / n
+    reduction = (
+        row["stateless_bytes_per_tick"] / row["payload_bytes_per_tick"]
+    )
+    row["payload_reduction"] = reduction
+    return row, reduction
+
+
+def _fmt(value, spec, suffix=""):
+    return "-" if value is None else format(value, spec) + suffix
 
 
 def main(argv=None):
@@ -342,45 +444,47 @@ def main(argv=None):
     parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write the results as machine-readable JSON "
-        "(params, rates, speedups, payload bytes, git SHA)",
+        "(params, rates, speedups, phase split, payload bytes, git SHA)",
     )
     parser.add_argument(
         "--hotspots", type=int, default=None, metavar="H",
         help="swap in the skewed workload: churn confined to H seeded "
         "spatial hotspots (charts unbalanced shard load)",
     )
-    parser.add_argument(
-        "--resident", action="store_true",
-        help="extend the timing grid with resident-transport cells "
-        "(long-lived shard workers; wall-clock recorded, not gated)",
-    )
     args = parser.parse_args(argv)
     scale = SMOKE_SCALE if args.smoke else FULL_SCALE
     grid = SMOKE_GRID if args.smoke else FULL_GRID
-    if args.resident:
-        grid = grid + (
-            RESIDENT_SMOKE_GRID if args.smoke else RESIDENT_FULL_GRID
-        )
+    reps = SMOKE_REPS if args.smoke else FULL_REPS
     bytes_scale = BYTES_SMOKE_SCALE if args.smoke else BYTES_FULL_SCALE
     cores = os.cpu_count() or 1
-    baseline, rows = run_grid(scale, grid, hotspots=args.hotspots)
-    bytes_rows, reduction = run_bytes(bytes_scale)
-    table_rows = [[
-        row["executor"] if row["shards"] else "(unsharded)",
-        row["shards"] or "-",
-        "yes" if row["resident"] else "-",
-        round(row["rate"], 1),
-        f"{row['speedup_vs_unsharded']:.2f}x",
-        row["peak_candidates"],
-        row["max_shard_batch"] or "-",
-    ] for row in [baseline] + rows]
+    ceiling = parallel_ceiling()
+    baseline, rows = run_grid(scale, grid, hotspots=args.hotspots,
+                              reps=reps)
+    bytes_row, reduction = run_bytes(bytes_scale)
+    table_rows = []
+    for row in [baseline] + rows:
+        phases = row["phase_ms"] or {}
+        table_rows.append([
+            row["executor"] if row["shards"] else "(unsharded)",
+            row["shards"] or "-",
+            _fmt(row["rate"], ".1f"),
+            _fmt(row["speedup_vs_unsharded"], ".2f", "x"),
+            _fmt(row["tick_ms"], ".2f"),
+            *(_fmt(phases.get(name), ".2f")
+              for name in ("match",) + PHASES),
+            row["peak_candidates"],
+            row["max_shard_batch"] or "-",
+        ])
     print_report(
         format_table(
             "Sharded candidate tracking — precomputed-cluster "
             f"{baseline['workload']} workload ({scale['n_objects']} "
-            f"objects, m={M}, k={K}, e={EPS:g}, {cores} core(s); "
-            "identical convoys asserted every tick)",
-            ["executor", "shards", "resident", "snap/s", "vs unsharded",
+            f"objects, m={M}, k={K}, e={EPS:g}; {cores} core(s), "
+            f"parallel ceiling {ceiling:.2f}x; median per-tick min of "
+            f"{reps} lockstep round(s); identical convoys asserted "
+            "every tick; phase columns are mean ms/tick)",
+            ["executor", "shards", "snap/s", "vs unsharded", "tick ms",
+             "match", "reconcile", "build", "run", "merge",
              "peak cands", "max batch"],
             table_rows,
         )
@@ -392,69 +496,69 @@ def main(argv=None):
             f"{bytes_scale['group_size']}, "
             f"{bytes_scale['dirty_groups']} swap pair(s)/tick, "
             "2 shards, pickled bytes)",
-            ["mode", "shipped B/tick", "result B/tick", "payload B/tick",
-             "reduction"],
+            ["shipped B/tick", "result B/tick", "payload B/tick",
+             "stateless batch B/tick", "reduction"],
             [[
-                "resident" if row["resident"] else "stateless",
-                round(row["shipped_bytes_per_tick"], 1),
-                round(row["result_bytes_per_tick"], 1),
-                round(row["payload_bytes_per_tick"], 1),
-                (f"{row['payload_reduction']:.2f}x"
-                 if row["payload_reduction"] else "-"),
-            ] for row in bytes_rows],
+                round(bytes_row["shipped_bytes_per_tick"], 1),
+                round(bytes_row["result_bytes_per_tick"], 1),
+                round(bytes_row["payload_bytes_per_tick"], 1),
+                round(bytes_row["stateless_bytes_per_tick"], 1),
+                f"{reduction:.2f}x",
+            ]],
         )
     )
     if args.json:
         write_bench_json(
             args.json, "sharded_scaling",
             dict(m=M, k=K, eps=EPS, smoke=args.smoke, cores=cores,
-                 hotspots=args.hotspots, resident=args.resident,
+                 parallel_ceiling=ceiling, reps=reps,
+                 hotspots=args.hotspots, serial_bar=SERIAL_BAR,
+                 process_bar=PROCESS_BAR, ceiling_gate=CEILING_GATE,
                  bytes_bar=BYTES_BAR, bytes_scale=bytes_scale, **scale),
-            [baseline] + rows + bytes_rows,
+            [baseline] + rows + [bytes_row],
         )
         print(f"json results written to {args.json}")
+    failures = []
     if reduction < BYTES_BAR:
-        raise SystemExit(
-            f"acceptance failure: resident payload is only "
-            f"{reduction:.2f}x smaller than the stateless sharded "
-            f"payload on the group-swap workload, below the "
-            f"{BYTES_BAR:.1f}x bar (resident mode must ship deltas, "
-            f"not state)"
+        failures.append(
+            f"the shipped payload is only {reduction:.2f}x smaller than "
+            f"the stateless batch on the group-swap workload, below the "
+            f"{BYTES_BAR:.1f}x bar (workers must be fed deltas, not state)"
         )
-    if args.smoke:
-        print("smoke ok: all sharded configurations agree with the "
-              "unsharded engine on every tick; resident payload "
-              f"{reduction:.2f}x below stateless (bar {BYTES_BAR:.1f}x)")
-        return 0
-    timing_rows = [row for row in rows if not row["resident"]]
-    serial_rows = [
-        row for row in timing_rows if row["executor"] == "serial"
-    ]
-    worst_serial = min(row["speedup_vs_unsharded"] for row in serial_rows)
-    if worst_serial < SERIAL_BAR:
-        raise SystemExit(
-            f"acceptance failure: serial-executor rate fell to "
-            f"{worst_serial:.2f}x of the unsharded engine, below the "
-            f"{SERIAL_BAR:.2f}x bar (the refactor must not tax the "
-            f"hot path)"
+    if not args.smoke:
+        worst_serial = min(
+            row["speedup_vs_unsharded"] for row in rows
+            if row["executor"] == "serial"
         )
-    process_rows = [
-        row for row in timing_rows if row["executor"] == "process"
-    ]
-    best_process = max(row["speedup_vs_unsharded"] for row in process_rows)
-    if cores >= 2:
-        if best_process < PROCESS_BAR:
-            raise SystemExit(
-                f"acceptance failure: best process-executor speedup is "
-                f"{best_process:.2f}x on {cores} cores, below the "
-                f"{PROCESS_BAR:.2f}x bar"
+        if worst_serial < SERIAL_BAR:
+            failures.append(
+                f"serial-twin tick cost fell to {worst_serial:.2f}x of "
+                f"the unsharded engine, below the {SERIAL_BAR:.2f}x bar "
+                f"(the layer must not tax the hot path; see the phase "
+                f"columns for where the time goes)"
             )
-    else:
-        print(
-            f"note: single-core host — process-executor speedup bar "
-            f"skipped (best observed {best_process:.2f}x; run on a "
-            f"multi-core machine to chart real scaling)"
+        best_process = max(
+            row["speedup_vs_unsharded"] for row in rows
+            if row["executor"] == "process"
         )
+        if ceiling >= CEILING_GATE:
+            if best_process < PROCESS_BAR:
+                failures.append(
+                    f"best process-transport speedup is "
+                    f"{best_process:.2f}x at a {ceiling:.2f}x parallel "
+                    f"ceiling, below the {PROCESS_BAR:.2f}x bar"
+                )
+        else:
+            print(
+                f"note: parallel ceiling {ceiling:.2f}x is below "
+                f"{CEILING_GATE:.1f}x — the process speedup bar is not "
+                f"asserted (best observed {best_process:.2f}x)"
+            )
+    if failures:
+        raise SystemExit("acceptance failure: " + "; ".join(failures))
+    print(f"ok: every sharded configuration agrees with the unsharded "
+          f"engine on every tick; payload {reduction:.2f}x below the "
+          f"stateless batch (bar {BYTES_BAR:.1f}x)")
     return 0
 
 

@@ -156,14 +156,8 @@ def build_parser():
     )
     stream.add_argument(
         "--executor", default=None, choices=sorted(BACKENDS),
-        help="where the shard batches run (with --shards): inline, a "
-        "thread pool, or a process pool (default: serial)",
-    )
-    stream.add_argument(
-        "--resident", action="store_true",
-        help="keep each shard's candidate state inside a long-lived "
-        "worker and ship per-tick deltas instead of full shard batches "
-        "(with --shards; identical convoys)",
+        help="where the resident shard workers run (with --shards): "
+        "in-process, or one spawned process per shard (default: serial)",
     )
     stream.add_argument(
         "--backend", default="python", choices=list(NUMERIC_BACKENDS),
@@ -369,9 +363,6 @@ def _cmd_stream(args, out):
     if args.executor is not None and args.shards is None:
         print("--executor only applies with --shards", file=out)
         return 2
-    if args.resident and args.shards is None:
-        print("--resident only applies with --shards", file=out)
-        return 2
     reorder = None
     if args.allowed_lateness is not None or args.max_pending is not None:
         reorder = dict(
@@ -414,8 +405,7 @@ def _cmd_stream(args, out):
             args.m, args.k, args.eps,
             paper_semantics=args.paper_semantics, window=args.window,
             clusterer=clusterer, reorder=reorder, shards=args.shards,
-            executor=args.executor, resident=args.resident,
-            backend=args.backend, match_kernel=args.match_kernel,
+            executor=args.executor, backend=args.backend, match_kernel=args.match_kernel,
             store=args.store,
         )
     except ValueError as exc:
@@ -424,7 +414,7 @@ def _cmd_stream(args, out):
     convoys = []
     interrupted = False
     started = time.perf_counter()
-    # The context manager releases pooled executor backends on every exit
+    # The context manager releases shard worker processes on every exit
     # path — including the stream-error return below, which used to leak
     # a live process pool.
     with miner:
@@ -516,10 +506,9 @@ def _cmd_stream(args, out):
             file=out,
         )
     if miner.shards is not None:
-        mode = "resident " if args.resident else ""
         print(
             f"sharding: {counters['sharded_candidates']} candidate scan(s) "
-            f"across {miner.shards} shard(s) on the {mode}"
+            f"across {miner.shards} shard(s) on the "
             f"{args.executor or 'serial'} executor in "
             f"{counters['shard_steps']} sharded step(s), largest batch "
             f"{counters['max_shard_batch']}",
@@ -580,7 +569,6 @@ def _write_answer_json(args, convoys, miner, elapsed):
             "window": args.window,
             "shards": args.shards,
             "executor": args.executor if args.shards is not None else None,
-            "resident": bool(args.resident),
             "backend": args.backend,
             "match_kernel": args.match_kernel,
         },

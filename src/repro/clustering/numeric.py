@@ -29,9 +29,9 @@ provides drop-in *batch* implementations over contiguous storage:
   clusters`` pairwise set intersections; overlapping cluster families —
   legal under the kernel contract, never produced by DBSCAN — take the
   general sorted-array merge-intersection path.  The function is pure
-  and picklable, so :class:`~repro.streaming.sharding.
-  ShardedCandidateTracker` ships it to executor backends exactly like
-  the classic kernel.
+  and picklable, so resident shard workers
+  (:mod:`repro.streaming.executor`) resolve and run it exactly like the
+  classic kernel.
 
 Exactness: every kernel computes the same squared-distance expression,
 the same floor-divide cell ids, and the same intersection sets as its
@@ -427,8 +427,7 @@ def match_candidates_vector(members, jobs, min_objects):
     merge-intersection per scanned pair.
 
     Pure and picklable by construction, exactly like the classic
-    kernel, so the sharded tracker ships it to executor backends
-    unchanged.
+    kernel, so resident shard workers run it unchanged.
     """
     if not jobs:
         return []
@@ -597,9 +596,7 @@ def bitset_remap(jobs):
     Returns ``{object id: bit index}`` covering every candidate object
     in first-seen order.  Cluster ids outside the remap cannot appear in
     any candidate-cluster intersection, so clusters are encoded through
-    the same remap with unknown ids simply skipped.  Built once per tick
-    by the (sharded) tracker and shipped in shard tasks so every shard
-    packs rows over the same bit positions.
+    the same remap with unknown ids simply skipped.
     """
     # dict.fromkeys + one enumerate comprehension keep the per-tick
     # remap build at C speed — a Python insert loop over 10^5 ids would
@@ -610,28 +607,23 @@ def bitset_remap(jobs):
     return {obj: bit for bit, obj in enumerate(seen)}
 
 
-def match_candidates_bitset(members, jobs, min_objects, remap=None):
+def match_candidates_bitset(members, jobs, min_objects):
     """The ``bitset`` match kernel: word-AND + popcount over packed rows.
 
     Same contract as :func:`repro.core.candidates.match_candidates`.
     Candidate and cluster object sets are packed into ``np.uint64``
-    bitset rows over a dense per-tick id remap (``remap``, built from
-    the jobs when not supplied), and every scanned intersection size is
-    computed as ``popcount(candidate_row & cluster_row)`` over a 2-D
-    block — one vectorized pass for the whole batch instead of a
-    per-pair merge.  Without numpy the rows are Python ``int`` bitmasks
+    bitset rows over a dense per-tick id remap built from the jobs, and
+    every scanned intersection size is computed as
+    ``popcount(candidate_row & cluster_row)`` over a 2-D block — one
+    vectorized pass for the whole batch instead of a per-pair merge.  Without numpy the rows are Python ``int`` bitmasks
     and the popcount is :meth:`int.bit_count` — still one C-speed AND
     per pair.  Pure and picklable, like every match kernel.
-
-    A supplied ``remap`` must cover every job object id (the sharded
-    tracker builds it over the full tick before bucketing).
     """
     if not jobs:
         return []
     if not members:
         return [(pos, []) for pos, _objects, _scan in jobs]
-    if remap is None:
-        remap = bitset_remap(jobs)
+    remap = bitset_remap(jobs)
     if np is None:
         return _match_bitset_python(members, jobs, min_objects, remap)
     words = max(1, (len(remap) + 63) >> 6)

@@ -107,9 +107,9 @@ pass replays the classic survivor/seed/report logic from the match
 results.  Because the kernel is a pure function of ``(clusters, object
 sets, scan lists)`` and the apply pass runs strictly in live-list order,
 the matching work can be executed anywhere — in particular fanned out
-across shards and executor backends by
+across resident shard workers by
 :class:`repro.streaming.sharding.ShardedCandidateTracker`, which
-overrides only ``_match_live`` — without moving a single report or
+overrides ``_match_live`` — without moving a single report or
 survivor out of the classic deterministic order.  Splices and closes
 never leave the owning tracker: they are O(1) bookkeeping, and keeping
 them local is what makes the fan-out transparent.
@@ -121,9 +121,9 @@ per *surviving* chain in exactly the new live-list order —
 ``("extend", old_pos, preserved)`` for a survivor born from a cluster
 scan (``preserved`` when the extension kept the parent's full member
 set, i.e. the chain continued rather than narrowed), and ``("seed",)``
-for a freshly seeded cluster.  Resident-mode sharding
-(:class:`repro.streaming.sharding.ShardedCandidateTracker` with a
-resident transport) replays that narration to assign stable chain ids
+for a freshly seeded cluster.  The sharded tracker
+(:class:`repro.streaming.sharding.ShardedCandidateTracker`) replays
+that narration to assign stable chain ids
 and derive the put/drop deltas it ships to long-lived shard workers.
 The flag is off by default so the unsharded hot path records nothing.
 """
@@ -157,9 +157,9 @@ COUNTER_KEYS = (
 def match_candidates(members, jobs, min_objects):
     """Pure matching kernel shared by the serial path and shard workers.
 
-    Stateless and picklable by construction: this is the unit of work the
-    sharded tracker ships to executor backends (one call per shard batch),
-    and exactly what the unsharded tracker runs inline.
+    Stateless and picklable by construction: this is the kernel resident
+    shard workers run over their share of a tick's jobs, and exactly
+    what the unsharded tracker runs inline.
 
     Args:
         members: list of cluster member ``frozenset``s for this step.
@@ -386,7 +386,7 @@ class CandidateTracker:
         self._last_end = None
         # Apply-pass narration (see module docstring): when enabled, every
         # advance leaves one event per survivor, in new-live-list order,
-        # in `last_provenance`; the resident sharding layer consumes it.
+        # in `last_provenance`; the sharded tracker consumes it.
         self._collect_provenance = False
         self.last_provenance = None
         self.counters = counters if counters is not None else {}
@@ -440,8 +440,8 @@ class CandidateTracker:
 
         The base tracker runs the kernel inline.
         :class:`repro.streaming.sharding.ShardedCandidateTracker`
-        overrides this one method to partition ``jobs`` across shards and
-        executor backends; result order is irrelevant (the caller keys by
+        overrides this one method to partition ``jobs`` across resident
+        shard workers; result order is irrelevant (the caller keys by
         position), so any merge of the per-shard outputs is legal.
         """
         if self._dispatch is None:

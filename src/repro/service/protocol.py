@@ -13,11 +13,11 @@ Client -> server
   arguments that are JSON-representable (``m``, ``k``, ``eps``,
   ``paper_semantics``, ``window``, ``clusterer`` as ``"full"`` /
   ``"incremental"``, ``reorder`` as the buffer's kwargs dict,
-  ``shards``, ``executor``, ``resident``, ``backend``, and ``store`` as
-  a server-side SQLite path) plus two service-level knobs: ``max_queue``
-  (this tenant's ingestion high-water mark) and ``tick_delay`` (seconds
-  slept per tick inside the worker step — a load-shaping knob for
-  benchmarks and tests).
+  ``shards``, ``executor`` as ``"serial"`` / ``"process"``,
+  ``backend``, and ``store`` as a server-side SQLite path) plus two
+  service-level knobs: ``max_queue`` (this tenant's ingestion
+  high-water mark) and ``tick_delay`` (seconds slept per tick inside
+  the worker step — a load-shaping knob for benchmarks and tests).
 * ``{"type": "feed", "tenant": T, "ticks": [[t, snapshot], ...]}`` — a
   batch of snapshots.  Each snapshot is a list of ``[object_id, x, y]``
   triples: a *list*, not an object, because JSON object keys are always

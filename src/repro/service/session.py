@@ -37,7 +37,7 @@ from repro.service.protocol import ProtocolError, encode_convoy
 #: Miner keyword arguments a ``hello`` config may carry.
 MINER_CONFIG_KEYS = (
     "m", "k", "eps", "paper_semantics", "window", "clusterer", "reorder",
-    "shards", "executor", "resident", "backend", "store",
+    "shards", "executor", "backend", "store",
 )
 
 #: Service-level knobs a ``hello`` config may carry.

@@ -2,7 +2,7 @@
 
 Algorithm 1's snapshot loop, restructured as an online engine and, one
 level down, as an explicit staged pipeline — ingest → cluster → track →
-emit — whose track stage can fan out across executor-backed shards.
+emit — whose track stage can fan out across resident shard workers.
 Snapshots are pushed in one at a time, each tick costs one
 snapshot-clustering pass plus one candidate-intersection step, and
 convoys are emitted the moment their chains fail to extend.  The offline
@@ -24,11 +24,10 @@ semantics.
   :class:`~repro.streaming.sharding.ShardedCandidateTracker`
   partitioning live candidates by support-cluster id
   (``StreamingConvoyMiner(shards=N, executor=...)``);
-* :mod:`~repro.streaming.executor` — the pluggable backends the shard
-  batches run on (serial / thread / process), including the *resident*
-  transports (``StreamingConvoyMiner(..., resident=True)``) whose
-  long-lived workers hold shard state between ticks so only per-tick
-  deltas cross the boundary;
+* :mod:`~repro.streaming.executor` — the two transports the shard
+  workers run on (in-process serial twin, or one process per shard);
+  the long-lived workers hold shard state between ticks so only
+  per-tick deltas cross the boundary;
 * :mod:`~repro.streaming.source` — snapshot sources: database replay, CSV
   replay, and seeded synthetic generators for scale runs (with optional
   bounded ``jitter=`` to emulate shuffled GPS feeds, and a ``hotspots=``
@@ -43,16 +42,11 @@ semantics.
 from repro.streaming.engine import StreamingConvoyMiner, mine_stream
 from repro.streaming.executor import (
     BACKENDS,
-    ProcessExecutor,
     ResidentProcessExecutor,
     ResidentSerialExecutor,
     ResidentShardWorker,
-    ResidentThreadExecutor,
-    SerialExecutor,
     ShardWorkerCrashed,
-    ThreadExecutor,
     resolve_executor,
-    resolve_resident_executor,
 )
 from repro.streaming.pipeline import (
     ClusterStage,
@@ -84,18 +78,14 @@ __all__ = [
     "EmitStage",
     "IngestStage",
     "LATE_POLICIES",
-    "ProcessExecutor",
     "ReorderBuffer",
     "ResidentProcessExecutor",
     "ResidentSerialExecutor",
     "ResidentShardWorker",
-    "ResidentThreadExecutor",
-    "SerialExecutor",
     "ShardWorkerCrashed",
     "ShardedCandidateTracker",
     "StreamingConvoyMiner",
     "StreamingPipeline",
-    "ThreadExecutor",
     "TrackStage",
     "WatermarkFrontier",
     "churn_stream",
@@ -108,6 +98,5 @@ __all__ = [
     "replay_csv",
     "replay_database",
     "resolve_executor",
-    "resolve_resident_executor",
     "synthetic_stream",
 ]

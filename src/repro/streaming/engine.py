@@ -32,9 +32,9 @@ stages own the data path.  Each stage is independently swappable:
   :class:`~repro.core.candidates.CandidateTracker`, or, with
   ``shards=``, a
   :class:`~repro.streaming.sharding.ShardedCandidateTracker` that fans
-  the tick's matching work across shards on a pluggable executor
-  backend (``executor="serial" | "thread" | "process"``) while keeping
-  emissions bit-for-bit identical;
+  the tick's matching work across resident shard workers, in-process or
+  one process per shard (``executor="serial" | "process"``), while
+  keeping emissions bit-for-bit identical;
 * **emit** converts closed chains to convoys and keeps the counters.
 
 The offline :func:`repro.core.cmc.cmc` delegates its per-snapshot step to
@@ -136,16 +136,12 @@ class StreamingConvoyMiner:
             unsharded run.  ``None`` (default) keeps the classic tracker
             (``shards=1`` still routes through the sharding layer, which
             is how its overhead is measured).
-        executor: executor backend for the per-shard work — ``"serial"``
-            (default), ``"thread"``, ``"process"``, or a ready-made
-            backend object (see :mod:`repro.streaming.executor`).  Only
-            meaningful with ``shards``; pooled backends are released by
-            :meth:`flush`.
-        resident: keep each shard's candidate state inside long-lived
-            workers and ship per-tick deltas instead of full shard
-            batches (see :mod:`repro.streaming.sharding`'s resident
-            protocol).  Only meaningful with ``shards``; emissions stay
-            bit-for-bit identical.
+        executor: transport for the resident shard workers —
+            ``"serial"`` (default, in-process), ``"process"`` (one
+            spawned process per shard), or a ready-made transport
+            object (see :mod:`repro.streaming.executor`).  Only
+            meaningful with ``shards``; worker processes are released
+            by :meth:`flush`.
         backend: numeric backend for the per-tick hot kernels —
             ``"python"`` (default) or ``"vector"`` (contiguous-array
             batch kernels, numpy-accelerated when numpy is importable;
@@ -197,7 +193,7 @@ class StreamingConvoyMiner:
 
     def __init__(self, m, k, eps, paper_semantics=False, window=None,
                  counters=None, clusterer=None, reorder=None, shards=None,
-                 executor=None, resident=False, backend=None, store=None,
+                 executor=None, backend=None, store=None,
                  match_kernel=None):
         #: The numeric backend driving the hot kernels ("python"/"vector").
         self.backend = validate_backend(backend)
@@ -212,11 +208,6 @@ class StreamingConvoyMiner:
                 "executor requires shards: pass shards=N to fan the "
                 "candidate tracker out (executor picks where the shard "
                 "batches run)"
-            )
-        if resident and shards is None:
-            raise ValueError(
-                "resident requires shards: pass shards=N to give the "
-                "long-lived workers a partition to hold"
             )
         self.counters = counters if counters is not None else {}
         for key in COUNTER_KEYS:
@@ -245,8 +236,7 @@ class StreamingConvoyMiner:
             tracker = ShardedCandidateTracker(
                 m, k, shards=shards, executor=executor,
                 paper_semantics=paper_semantics, counters=self.counters,
-                backend=self.backend, resident=resident,
-                match_kernel=self.match_kernel,
+                backend=self.backend, match_kernel=self.match_kernel,
             )
         self.shards = None if shards is None else int(shards)
         self._m = m
@@ -354,8 +344,8 @@ class StreamingConvoyMiner:
         drop them because the pseudocode only reports on failed extension.
         With ``reorder=...`` the buffer is drained first — its pending
         snapshots are ingested in time order, so convoys they close (or
-        extend to qualification) are part of the returned tail.  Pooled
-        executor backends of a sharded tracker are released here.
+        extend to qualification) are part of the returned tail.  The shard
+        workers of a sharded tracker are released here.
         After ``flush`` the miner is finished; further ``feed`` calls raise.
         Calling ``flush`` again returns an empty list.
         """
@@ -368,7 +358,7 @@ class StreamingConvoyMiner:
     def close(self):
         """Release pooled resources (idempotent; emits nothing).
 
-        ``flush`` already releases the tracker's executor backend on the
+        ``flush`` already releases the tracker's shard workers on the
         happy path, but an exception mid-``feed`` (a late-policy
         ``raise`` in the reorder buffer, a crashed shard worker) used to
         leave a live process pool behind.  ``close`` exists for exactly
@@ -378,9 +368,9 @@ class StreamingConvoyMiner:
             with StreamingConvoyMiner(...) as miner:
                 ...
 
-        A closed-but-unflushed miner can still ``flush``: pooled
-        backends rebuild lazily (resident workers re-seed from the
-        parent's authoritative state), so ``close`` never loses chains
+        A closed-but-unflushed miner can still ``flush``: shard
+        workers rebuild lazily (and re-seed from the parent's
+        authoritative state), so ``close`` never loses chains
         — though a store the miner itself opened from a path is closed
         here and stays closed.
         """
@@ -396,7 +386,7 @@ class StreamingConvoyMiner:
 
 def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
                 counters=None, clusterer=None, reorder=None, shards=None,
-                executor=None, resident=False, backend=None, store=None,
+                executor=None, backend=None, store=None,
                 match_kernel=None):
     """Drive a :class:`StreamingConvoyMiner` over a snapshot source.
 
@@ -409,8 +399,8 @@ def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
             feeds of ``synthetic_stream(..., jitter=)``).
         m, k, eps: the convoy-query parameters.
         paper_semantics, window, counters, clusterer, reorder, shards,
-            executor, resident, backend, store, match_kernel: forwarded
-            to the miner (``store`` persists every convoy as it closes;
+            executor, backend, store, match_kernel: forwarded to the
+            miner (``store`` persists every convoy as it closes;
             a path opens a SQLite store that is closed again before
             returning).
 
@@ -421,8 +411,8 @@ def mine_stream(source, m, k, eps, paper_semantics=False, window=None,
     miner = StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, window=window,
         counters=counters, clusterer=clusterer, reorder=reorder,
-        shards=shards, executor=executor, resident=resident,
-        backend=backend, store=store, match_kernel=match_kernel,
+        shards=shards, executor=executor, backend=backend, store=store,
+        match_kernel=match_kernel,
     )
     convoys = []
     # The context manager releases pooled backends even when the source

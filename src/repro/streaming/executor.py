@@ -1,76 +1,40 @@
-"""Pluggable executor backends for per-shard candidate advances.
+"""Resident shard transports for the sharded candidate tracker.
 
 The sharding layer (:mod:`repro.streaming.sharding`) partitions one
 tick's candidate-matching work into per-shard batches; *where* those
-batches run is this module's job.  Every backend exposes the same
-two-method surface — ``map(fn, tasks)`` returning the results in task
-order, and ``close()`` releasing whatever the backend holds — so the
-tracker neither knows nor cares whether a batch ran inline, on a thread
-pool, or in a worker process:
-
-* :class:`SerialExecutor` — run every task inline on the calling thread.
-  Zero overhead beyond the function calls; the reference backend the
-  scaling bench holds the others against, and the proof that the staged
-  refactor itself costs nothing.
-* :class:`ThreadExecutor` — a shared ``ThreadPoolExecutor``.  Python's
-  GIL serializes the pure-Python set intersections, so this backend buys
-  no wall-clock on CPython today; it exists because it exercises the
-  full fan-out/merge machinery with zero pickling (the cheapest way to
-  test the concurrency seams) and becomes a real speedup on free-threaded
-  builds.
-* :class:`ProcessExecutor` — a lazily created ``ProcessPoolExecutor``.
-  Task payloads cross the process boundary by pickling, so the sharding
-  layer ships *chunked* work: one payload per shard batch (clusters +
-  that shard's candidate jobs in a single message), submitted through
-  ``Executor.map(..., chunksize=)`` so several batches share one IPC
-  round trip.  This is the backend that turns shards into actual cores.
-
-Pools are created on first use and must be released with ``close()``
-(the streaming engine does so on ``flush``); a closed backend rebuilds
-its pool if used again, so a backend instance can be shared across
-sequential runs.
-
-Resident mode
--------------
-
-The ``map``-shaped backends are stateless: every tick's payload carries
-the full shard batch, candidate object-sets included, so the process
-path re-pickles state that barely changes between ticks.  The *resident*
-transports keep a long-lived :class:`ResidentShardWorker` per shard —
-holding that shard's candidate object-sets between ticks — and route
-every message for a shard to *its* worker, so the per-tick payload
-shrinks to cluster member-sets, job ids, and the put/drop deltas of the
-apply pass (see :mod:`repro.streaming.sharding` for the protocol and the
-state reconciliation that produces those deltas):
+batches run is this module's job.  Each shard has one long-lived
+:class:`ResidentShardWorker` holding that shard's candidate object-sets
+between ticks, and every message for a shard reaches *its* worker, so
+the per-tick payload is only cluster member-sets, job ids, and the
+put/drop deltas of the apply pass (see :mod:`repro.streaming.sharding`
+for the protocol and the state reconciliation that produces those
+deltas).  Two transports carry the messages:
 
 * :class:`ResidentSerialExecutor` — workers held in-process, messages
   handled inline: the reference implementation the differential suite
-  holds the others against.
-* :class:`ResidentThreadExecutor` — same in-process workers, shard
-  batches fanned out on a thread pool.
+  holds the process transport against.
 * :class:`ResidentProcessExecutor` — one single-worker process pool per
   shard (the only way a ``concurrent.futures`` pool can guarantee shard
   affinity), built from an explicit multiprocessing context (``spawn``
   by default, so worker state never depends on fork-inherited
   interpreter state), each worker process named after its shard.
 
-Resident transports expose ``generation(shard)`` — an incarnation
+Both expose ``run(batches)``, ``generation(shard)`` — an incarnation
 number that changes whenever the shard's worker may have lost its state
-(first creation, ``restart``, a crash, ``close``) — so the tracker
-knows when to re-seed a worker over the ``init`` message instead of
-shipping an incremental delta.  A worker process dying mid-run surfaces
-as :class:`ShardWorkerCrashed` (never a hang): the broken pool is torn
-down, ``close()`` still succeeds, and the next use rebuilds the pool
-under a fresh generation.
+(first creation, ``restart``, a crash, ``close``), so the tracker knows
+when to re-seed a worker over the ``init`` message instead of shipping
+an incremental delta — ``restart(shard)`` and ``close()``.  A worker
+process dying mid-run surfaces as :class:`ShardWorkerCrashed` (never a
+hang): the broken pool is torn down, ``close()`` still succeeds, and the
+next use rebuilds the pool under a fresh generation.
 """
 
 from __future__ import annotations
 
 from repro.core.candidates import FIXED_MATCH_KERNELS, resolve_match_kernel
 
-#: Names accepted by :func:`resolve_executor` and
-#: :func:`resolve_resident_executor`.
-BACKENDS = ("serial", "thread", "process")
+#: Names accepted by :func:`resolve_executor`.
+BACKENDS = ("serial", "process")
 
 
 class ShardWorkerCrashed(RuntimeError):
@@ -256,10 +220,12 @@ class ResidentShardWorker:
             raise ResidentProtocolError(
                 f"job references unknown chain {exc.args[0]}"
             ) from None
-        return tuple(
-            (pos, tuple(index for index, _common in matches))
+        # List comprehensions, not generators: this conversion runs once
+        # per scanned candidate per tick, on the sharded hot path.
+        return tuple([
+            (pos, tuple([index for index, _common in matches]))
             for pos, matches in fn(members, kernel_jobs, self._m)
-        )
+        ])
 
     def _step_bitset(self, members, jobs):
         """Run a bitset tick straight off the maintained rows."""
@@ -287,118 +253,6 @@ class ResidentShardWorker:
                 if (row & cluster_masks[index]).bit_count() >= min_objects
             )))
         return tuple(out)
-
-
-class SerialExecutor:
-    """Run every task inline, in order, on the calling thread."""
-
-    name = "serial"
-
-    def map(self, fn, tasks):
-        """Apply ``fn`` to each task; return the results in task order."""
-        return [fn(task) for task in tasks]
-
-    def close(self):
-        """Nothing to release."""
-
-    def __repr__(self):
-        return "SerialExecutor()"
-
-
-class ThreadExecutor:
-    """Fan tasks out across a shared thread pool.
-
-    Args:
-        max_workers: pool size (default: the ``ThreadPoolExecutor``
-            default, ``min(32, cpu_count + 4)``).
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers=None):
-        self._max_workers = max_workers
-        self._pool = None
-
-    def map(self, fn, tasks):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-shard",
-            )
-        return list(self._pool.map(fn, tasks))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self):
-        return f"ThreadExecutor(max_workers={self._max_workers!r})"
-
-
-class ProcessExecutor:
-    """Fan tasks out across a lazily created process pool.
-
-    Payloads are pickled per chunk: ``chunksize`` tasks travel in one
-    IPC message (the "chunked pickling" of the sharded design — a task
-    is already a whole shard batch, so the default of 1 means one
-    message per shard; raise it when shards outnumber workers).
-
-    Workers are started from an explicit multiprocessing context —
-    ``spawn`` by default, never the platform default: under ``fork`` a
-    worker inherits whatever interpreter state the parent accumulated
-    (lazily imported numpy, RNG state, open handles), so the same match
-    kernel could behave differently per platform.  A spawned worker
-    re-imports from scratch and resolves its kernel from the backend
-    *name* in the task, which is exactly what a remote worker would do.
-    Workers are named ``repro-shard-worker`` for ps/log readability.
-
-    Args:
-        max_workers: pool size (default: ``os.cpu_count()``).
-        chunksize: tasks pickled per IPC message (``>= 1``).
-        mp_context: multiprocessing context or start-method name
-            (default ``"spawn"``).
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers=None, chunksize=1, mp_context=None):
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self._max_workers = max_workers
-        self._chunksize = int(chunksize)
-        self._mp_context = mp_context
-        self._pool = None
-
-    @property
-    def alive(self):
-        """Whether a pool is currently held (health-check seam)."""
-        return self._pool is not None
-
-    def map(self, fn, tasks):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self._max_workers,
-                mp_context=_resolve_mp_context(self._mp_context),
-                initializer=_name_worker_process,
-                initargs=("repro-shard-worker",),
-            )
-        return list(self._pool.map(fn, tasks, chunksize=self._chunksize))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __repr__(self):
-        return (
-            f"ProcessExecutor(max_workers={self._max_workers!r}, "
-            f"chunksize={self._chunksize})"
-        )
 
 
 def _run_resident_batch(shard, messages):
@@ -437,8 +291,6 @@ class ResidentSerialExecutor:
     """
 
     name = "serial"
-    #: Marks the resident transport surface (run/generation/restart).
-    resident = True
 
     def __init__(self):
         self._workers = {}
@@ -485,53 +337,6 @@ class ResidentSerialExecutor:
         return f"{type(self).__name__}()"
 
 
-class ResidentThreadExecutor(ResidentSerialExecutor):
-    """Resident in-process workers with shard batches fanned out on a
-    thread pool.  One batch per shard per tick means no two threads ever
-    touch the same worker concurrently; like :class:`ThreadExecutor`
-    this buys no CPython wall-clock but exercises the concurrency seams
-    with zero pickling.
-
-    Args:
-        max_workers: pool size (default: the ``ThreadPoolExecutor``
-            default).
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers=None):
-        super().__init__()
-        self._max_workers = max_workers
-        self._pool = None
-
-    def run(self, batches):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-resident",
-            )
-        # Workers are created on the calling thread: the pool threads
-        # only ever touch fully constructed, per-shard-exclusive state.
-        work = [(self._worker(shard), list(messages))
-                for shard, messages in batches]
-        futures = [
-            self._pool.submit(
-                lambda worker, messages: [worker.handle(m) for m in messages],
-                worker, messages,
-            )
-            for worker, messages in work
-        ]
-        return [future.result() for future in futures]
-
-    def close(self):
-        super().close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 class ResidentProcessExecutor:
     """One single-worker, lazily created process pool per shard.
 
@@ -553,7 +358,6 @@ class ResidentProcessExecutor:
     """
 
     name = "process"
-    resident = True
 
     def __init__(self, mp_context=None):
         self._mp_context = mp_context
@@ -630,38 +434,7 @@ class ResidentProcessExecutor:
 
 
 def resolve_executor(spec):
-    """Turn an executor spec into a backend instance.
-
-    Args:
-        spec: ``None`` (serial), one of the :data:`BACKENDS` names, or a
-            ready-made backend — any object with ``map(fn, tasks)`` and
-            ``close()`` is accepted as-is, so callers can inject a
-            custom pool (pinned workers, an async bridge, ...).
-
-    Returns:
-        The backend instance.
-
-    Raises:
-        ValueError: for unknown names or objects missing the surface.
-    """
-    if spec is None or spec == "serial":
-        return SerialExecutor()
-    if spec == "thread":
-        return ThreadExecutor()
-    if spec == "process":
-        return ProcessExecutor()
-    if callable(getattr(spec, "map", None)) and callable(
-        getattr(spec, "close", None)
-    ):
-        return spec
-    raise ValueError(
-        f"executor must be None, one of {BACKENDS}, or an object with "
-        f"map()/close() methods, got {spec!r}"
-    )
-
-
-def resolve_resident_executor(spec):
-    """Turn an executor spec into a *resident* transport instance.
+    """Turn an executor spec into a resident transport instance.
 
     Args:
         spec: ``None`` (serial), one of the :data:`BACKENDS` names, or a
@@ -677,8 +450,6 @@ def resolve_resident_executor(spec):
     """
     if spec is None or spec == "serial":
         return ResidentSerialExecutor()
-    if spec == "thread":
-        return ResidentThreadExecutor()
     if spec == "process":
         return ResidentProcessExecutor()
     if (
@@ -688,6 +459,6 @@ def resolve_resident_executor(spec):
     ):
         return spec
     raise ValueError(
-        f"resident executor must be None, one of {BACKENDS}, or an object "
-        f"with run()/generation()/close() methods, got {spec!r}"
+        f"executor must be None, one of {BACKENDS}, or an object with "
+        f"run()/generation()/close() methods, got {spec!r}"
     )

@@ -16,7 +16,7 @@ Each stage is a plain object with a ``name`` and one or two methods; a
 makes the parallel layer a drop-in: the track stage holds *any*
 :class:`~repro.core.candidates.CandidateTracker`, so handing it a
 :class:`~repro.streaming.sharding.ShardedCandidateTracker` fans the
-tick's matching work across executor-backed shards without the other
+tick's matching work across resident shard workers without the other
 stages — or the semantics — noticing.  (Yannakakis-style staged
 evaluation makes the same move: fix the stage boundaries first, then
 parallelize inside a stage.)
@@ -184,7 +184,7 @@ class TrackStage:
     def close(self):
         """Release tracker resources without flushing (error paths: the
         miner's ``close``/``__exit__`` reaches this so a failed run never
-        leaves an executor pool behind)."""
+        leaves a shard worker process behind)."""
         close = getattr(self.tracker, "close", None)
         if close is not None:
             close()

@@ -5,41 +5,27 @@ against every cluster — and PR 3 already partitioned it implicitly: a
 candidate records the stable id of its *support* cluster, and because
 snapshot clusters are disjoint, candidates supported by different
 clusters never compete for the same extension.  This module makes that
-partition explicit and executes it in parallel:
+partition explicit:
 
-* live candidates are routed to shards by their support-cluster id
-  (memoized rendezvous hashing, so a chain stays on one shard for as
-  long as its support survives and adding a shard moves only ``1/n`` of
-  the keys); candidates without a support id — the classic
-  :meth:`~repro.core.candidates.CandidateTracker.advance` path, and
-  chains seeded from appearing or boundary clusters before their first
-  delta step — are spread round-robin by live-list position;
-* each shard's batch of cluster scans runs as one task on a pluggable
-  executor backend (:mod:`repro.streaming.executor`): inline, thread
-  pool, or process pool with chunked pickling;
+* every live chain gets a stable *chain id* and a home shard: chains
+  with a support id route by memoized rendezvous hashing on it (so a
+  chain stays on one shard for as long as its support survives, and
+  adding a shard moves only ``1/n`` of the keys); chains without one —
+  the classic :meth:`~repro.core.candidates.CandidateTracker.advance`
+  path, and chains seeded before their first delta step — route by
+  ``chain_id % shards``, which is stable across ticks;
+* each shard's candidate object-sets live inside a long-lived
+  :class:`repro.streaming.executor.ResidentShardWorker`, reached over a
+  transport from :mod:`repro.streaming.executor` (the in-process serial
+  twin, or one spawned process per shard);
 * the per-shard match results merge back through the tracker's ordered
   apply pass, which replays survivors, seeds, and reports strictly in
   live-list order — so the emissions are **bit for bit** the unsharded
   tracker's, proven tick-for-tick by
-  ``tests/streaming/test_sharded_equivalence.py``.
+  ``tests/streaming/test_sharded_equivalence.py`` across both
+  transports, pipelines, and mid-run worker restarts.
 
-What crosses the executor boundary is only the pure matching kernel
-(:func:`repro.core.candidates.match_candidates` over cluster member
-sets and candidate object sets): splices stay O(1) in the owning
-tracker, window histories never leave the parent process, and all state
-mutation happens in the deterministic apply pass.  That keeps the
-process path's pickling cost proportional to the tick's *working set*
-(object ids under scan), not to the accumulated chain histories.
-
-Resident mode
--------------
-
-The stateless fan-out above still re-pickles every scanned candidate's
-object set every tick.  With ``resident=True`` the tracker instead keeps
-each shard's object sets *inside* a long-lived worker
-(:class:`repro.streaming.executor.ResidentShardWorker`, reached over a
-resident transport from :mod:`repro.streaming.executor`) and speaks a
-three-message protocol:
+The tracker speaks a three-message protocol with its workers:
 
 * ``init`` seeds (or wholesale replaces) one shard's state from the
   parent's authoritative live list — sent whenever the transport reports
@@ -53,17 +39,13 @@ three-message protocol:
 * ``snapshot`` drains a shard's state back (rebalance/close, and the
   differential suite's state checks).
 
-Chains get stable ids from the apply-pass provenance the base tracker
-records (``_collect_provenance``): a splice or full-member-set extension
+Chain ids come from the apply-pass provenance the base tracker records
+(``_collect_provenance``): a splice or full-member-set extension
 continues the chain under its id; narrowed extensions and seeds become
-new chains (one ``put`` each); chains that die become ``drop``s.
-Support-keyed chains route by the same memoized rendezvous as stateless
-mode (a support change migrates the chain: ``drop`` at the old home,
-``put`` at the new); support-less chains route by ``chain_id % shards``
-— stable, where stateless mode's live-list position round-robin would
-thrash residency.  Emissions stay **bit for bit** identical to the
-stateless and unsharded trackers; the differential suite proves it
-across executors, pipelines, and mid-run worker restarts.
+new chains (one ``put`` each); chains that die become ``drop``s; a
+support change migrates the chain (``drop`` at the old home, ``put`` at
+the new).  Splices, closes and window histories never leave the parent:
+all state mutation happens in its deterministic apply pass.
 """
 
 from __future__ import annotations
@@ -72,16 +54,8 @@ import hashlib
 import pickle
 from time import perf_counter
 
-from repro.clustering.numeric import bitset_remap, match_candidates_bitset
-from repro.core.candidates import (
-    CandidateTracker,
-    match_plan_stats,
-    resolve_match_kernel,
-)
-from repro.streaming.executor import (
-    resolve_executor,
-    resolve_resident_executor,
-)
+from repro.core.candidates import CandidateTracker, match_plan_stats
+from repro.streaming.executor import resolve_executor
 
 #: Counter keys a sharded tracker adds to its ``counters`` dict.
 COUNTER_KEYS = (
@@ -131,33 +105,17 @@ def rendezvous_shard(key, n_shards):
     return best_shard
 
 
-def _match_shard(task):
-    """One shard batch: run the pure kernel over this shard's jobs.
-
-    Module-level (hence picklable by reference) so process backends can
-    ship it; the payload is one chunk — the step's cluster member sets,
-    the shard's candidate jobs, the numeric backend and match-kernel
-    *names* (the worker resolves the kernel itself, so the task stays
-    plain data), and, for the bitset kernel, the tick's dense id remap
-    (built once by the parent so every shard packs rows over the same
-    bit positions) — pickled as a single message.
-    """
-    members, jobs, min_objects, backend, kernel, remap = task
-    if kernel == "bitset":
-        return match_candidates_bitset(members, jobs, min_objects, remap)
-    return resolve_match_kernel(backend, kernel)(members, jobs, min_objects)
-
-
 class ShardedCandidateTracker(CandidateTracker):
     """A :class:`~repro.core.candidates.CandidateTracker` whose per-tick
-    matching work is partitioned across shards and executed on a backend.
+    matching work is partitioned across resident shard workers.
 
     Everything observable — survivor order, reports, window histories,
     the shared counter keys (``advance_steps``, ``delta_steps``,
     ``spliced_candidates``, ``reintersected_candidates``) — is identical
-    to the unsharded tracker; the subclass overrides only the
-    :meth:`~repro.core.candidates.CandidateTracker._match_live` seam and
-    adds the :data:`COUNTER_KEYS` bookkeeping.
+    to the unsharded tracker; the subclass overrides the
+    :meth:`~repro.core.candidates.CandidateTracker._match_live` seam,
+    replays each apply pass into per-shard deltas, and adds the
+    :data:`COUNTER_KEYS` bookkeeping.
 
     Args:
         min_objects, min_lifetime, paper_semantics, counters, backend,
@@ -166,28 +124,23 @@ class ShardedCandidateTracker(CandidateTracker):
             (``backend`` picks the numeric matching kernel the shard
             workers run; ``match_kernel`` pins a fixed kernel or, with
             ``"auto"``, lets the dispatcher pick per tick — the chosen
-            kernel *name* ships in the shard tasks, so workers stay
-            stateless; identical matches every way).
+            kernel *name* ships in the step message; identical matches
+            every way).
         shards: number of partitions (``>= 1``; 1 still routes every
-            batch through the backend, which is how the scaling bench
+            batch through the transport, which is how the scaling bench
             isolates pure layer overhead).
-        executor: backend spec forwarded to
-            :func:`~repro.streaming.executor.resolve_executor` (or, with
-            ``resident=True``, to
-            :func:`~repro.streaming.executor.resolve_resident_executor`)
-            — ``None``/``"serial"``, ``"thread"``, ``"process"``, or a
-            ready-made backend object.
-        resident: keep each shard's candidate object-sets inside a
-            long-lived worker and ship per-tick deltas instead of full
-            shard batches (see the module docstring's protocol).
+        executor: transport spec forwarded to
+            :func:`~repro.streaming.executor.resolve_executor` —
+            ``None``/``"serial"``, ``"process"``, or a ready-made
+            transport object.
 
     Call :meth:`close` (the streaming engine does, on ``flush``) to
-    release pooled backends.
+    release the transport's workers.
     """
 
     def __init__(self, min_objects, min_lifetime, shards,
                  executor="serial", paper_semantics=False, counters=None,
-                 backend="python", resident=False, match_kernel=None):
+                 backend="python", match_kernel=None):
         super().__init__(
             min_objects, min_lifetime, paper_semantics=paper_semantics,
             counters=counters, backend=backend, match_kernel=match_kernel,
@@ -196,18 +149,14 @@ class ShardedCandidateTracker(CandidateTracker):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self._n_shards = shards
-        self._resident = bool(resident)
-        if self._resident:
-            self._backend = resolve_resident_executor(executor)
-            # The apply-pass narration drives chain-id assignment.
-            self._collect_provenance = True
-            self._chains = []   # chain id per live position
-            self._homes = []    # home shard per live position
-            self._next_chain = 0
-            self._pending_ops = {}  # shard -> [("put", id, objs)|("drop", id)]
-            self._seen_gen = {}     # shard -> last worker generation seeded
-        else:
-            self._backend = resolve_executor(executor)
+        self._backend = resolve_executor(executor)
+        # The apply-pass narration drives chain-id assignment.
+        self._collect_provenance = True
+        self._chains = []   # chain id per live position
+        self._homes = []    # home shard per live position
+        self._next_chain = 0
+        self._pending_ops = {}  # shard -> [("put", id, objs)|("drop", id)]
+        self._seen_gen = {}     # shard -> last worker generation seeded
         self._route_cache = {}  # support id -> shard (memoized rendezvous)
         self._byte_accounting = False
         for key in COUNTER_KEYS:
@@ -220,33 +169,27 @@ class ShardedCandidateTracker(CandidateTracker):
 
     @property
     def executor(self):
-        """The executor backend running the per-shard batches."""
+        """The transport running the per-shard message batches."""
         return self._backend
 
-    @property
-    def resident(self):
-        """Whether shard state lives in long-lived workers."""
-        return self._resident
-
     def enable_byte_accounting(self):
-        """Count pickled payload bytes crossing the executor boundary.
+        """Count pickled payload bytes crossing the transport boundary.
 
         Adds ``shipped_bytes`` (requests) and ``result_bytes``
         (responses) to :attr:`counters`, measured as
         ``len(pickle.dumps(payload))`` per tick — the honest IPC metric
-        on a 1-core container, and identical in shape for resident and
-        stateless mode so the scaling bench can compare them.  Off by
-        default: the extra pickling would double the stateless process
-        path's serialization work.
+        whatever the transport.  Off by default: the extra pickling
+        would double the process transport's serialization work.
         """
         self._byte_accounting = True
         self.counters.setdefault("shipped_bytes", 0)
         self.counters.setdefault("result_bytes", 0)
 
-    def _shard_for(self, pos, support):
-        """Route one candidate: support-keyed rendezvous, else round-robin."""
+    def _home_for(self, chain_id, support):
+        """A chain's home shard: memoized rendezvous on its support when
+        it has one, else stable ``chain_id % shards``."""
         if support is None:
-            return pos % self._n_shards
+            return chain_id % self._n_shards
         shard = self._route_cache.get(support)
         if shard is None:
             if len(self._route_cache) > max(1024, 8 * self.live_count):
@@ -281,57 +224,6 @@ class ShardedCandidateTracker(CandidateTracker):
         self.counters[f"dispatch_{name}"] += 1
         return name, stats
 
-    def _match_live(self, members, jobs):
-        """Partition the step's scans into shard batches and execute them."""
-        if self._resident:
-            return self._match_live_resident(members, jobs)
-        if not jobs:
-            return []
-        kernel, stats = self._choose_kernel(members, jobs)
-        remap = bitset_remap(jobs) if kernel == "bitset" else None
-        candidates = self._candidates
-        buckets = [[] for _ in range(self._n_shards)]
-        for job in jobs:
-            pos = job[0]
-            buckets[self._shard_for(pos, candidates[pos].support)].append(job)
-        tasks = [
-            (members, bucket, self._m, self._numeric_backend, kernel, remap)
-            for bucket in buckets if bucket
-        ]
-        self.counters["shard_steps"] += 1
-        self.counters["sharded_candidates"] += len(jobs)
-        biggest = max(len(bucket) for bucket in buckets)
-        if biggest > self.counters["max_shard_batch"]:
-            self.counters["max_shard_batch"] = biggest
-        if self._byte_accounting:
-            self.counters["shipped_bytes"] += len(
-                pickle.dumps(tasks, pickle.HIGHEST_PROTOCOL)
-            )
-        started = perf_counter()
-        raw = self._backend.map(_match_shard, tasks)
-        if stats is not None:
-            self._dispatch.observe(kernel, stats, perf_counter() - started)
-        if self._byte_accounting:
-            self.counters["result_bytes"] += len(
-                pickle.dumps(raw, pickle.HIGHEST_PROTOCOL)
-            )
-        results = []
-        for part in raw:
-            results.extend(part)
-        return results
-
-    # ------------------------------------------------------------------
-    # Resident mode: chain-id bookkeeping, delta shipping, reconciliation
-    # ------------------------------------------------------------------
-
-    def _home_for(self, chain_id, support):
-        """A chain's home shard: rendezvous on its support when it has
-        one, else stable ``chain_id % shards`` (live-list position would
-        shift every tick and thrash worker residency)."""
-        if support is None:
-            return chain_id % self._n_shards
-        return self._shard_for(0, support)
-
     def _shard_entries(self, shard):
         """The authoritative ``(chain_id, objects)`` state of one shard."""
         return [
@@ -355,8 +247,8 @@ class ShardedCandidateTracker(CandidateTracker):
         from the parent's authoritative live list.  A per-tick kernel
         name (fixed ``match_kernel`` or the dispatcher's choice) rides
         as a fifth ``step`` element; without one the message keeps its
-        four-element legacy shape and the worker falls back to the
-        kernel its ``init`` backend implies.
+        four-element shape and the worker falls back to the kernel its
+        ``init`` backend implies.
         """
         messages = []
         generation = self._backend.generation(shard)
@@ -378,12 +270,14 @@ class ShardedCandidateTracker(CandidateTracker):
             messages.append(step)
         return messages
 
-    def _match_live_resident(self, members, jobs):
-        """Ship per-shard step messages; reconstruct matches from indexes."""
-        kernel, stats = self._choose_kernel(members, jobs) if jobs else (
-            None, None
-        )
-        candidates = self._candidates
+    def _build_batches(self, members, jobs, kernel):
+        """Bucket the step's jobs by home shard into message batches.
+
+        Returns ``(batches, unmap)``: the ``(shard, messages)`` pairs to
+        hand the transport (shards with pending deltas but no jobs get
+        an ops-only batch), and, per shard that was shipped a cluster
+        subset, the shipped-index -> global-index list.
+        """
         chains = self._chains
         homes = self._homes
         buckets = {}
@@ -402,7 +296,7 @@ class ShardedCandidateTracker(CandidateTracker):
                 # Every job names its scan list, so the shard only needs
                 # those clusters: ship the subset under compact indexes
                 # (the delta path's dirty set is usually a small slice of
-                # the tick — this is most of resident mode's byte win).
+                # the tick — this is most of the per-tick byte win).
                 used = sorted({
                     index for _pos, _chain, scan in bucket for index in scan
                 })
@@ -427,6 +321,42 @@ class ShardedCandidateTracker(CandidateTracker):
         )
         if biggest > self.counters["max_shard_batch"]:
             self.counters["max_shard_batch"] = biggest
+        return batches, unmap
+
+    def _merge_responses(self, members, batches, responses, unmap):
+        """Turn the workers' match indexes back into ``(pos, matches)``.
+
+        Workers return match *indexes*; the winning intersections are
+        re-derived from the parent's own authoritative sets, so they
+        never cross the boundary.  Candidates without a match are left
+        out (the apply pass reads a missing position as no match), and
+        a candidate wholly inside its matched cluster — a chain that
+        kept every member, the steady state — is its own intersection,
+        so the subset test spares building an equal set.
+        """
+        candidates = self._candidates
+        results = []
+        for (shard, messages), shard_responses in zip(batches, responses):
+            if messages[-1][0] != "step" or not messages[-1][3]:
+                continue  # init/flush-only batch: nothing to merge
+            used = unmap.get(shard)
+            for pos, indexes in shard_responses[-1]:
+                if not indexes:
+                    continue
+                if used is not None:
+                    indexes = [used[index] for index in indexes]
+                objects = candidates[pos].objects
+                results.append((pos, [
+                    (index, objects if objects <= members[index]
+                     else objects & members[index])
+                    for index in indexes
+                ]))
+        return results
+
+    def _match_live(self, members, jobs):
+        """Ship per-shard step messages; reconstruct matches from indexes."""
+        kernel, stats = self._choose_kernel(members, jobs)
+        batches, unmap = self._build_batches(members, jobs, kernel)
         if not batches:
             return []
         if self._byte_accounting:
@@ -441,23 +371,7 @@ class ShardedCandidateTracker(CandidateTracker):
             self.counters["result_bytes"] += len(
                 pickle.dumps(responses, pickle.HIGHEST_PROTOCOL)
             )
-        results = []
-        for (shard, messages), shard_responses in zip(batches, responses):
-            if messages[-1][0] != "step" or not messages[-1][3]:
-                continue  # init/flush-only batch: nothing to merge
-            used = unmap.get(shard)
-            for pos, indexes in shard_responses[-1]:
-                if used is not None:
-                    indexes = [used[index] for index in indexes]
-                objects = candidates[pos].objects
-                # Workers return match *indexes*; the winning
-                # intersections are re-derived from the parent's own
-                # authoritative sets, so they never cross the boundary.
-                results.append(
-                    (pos,
-                     [(index, objects & members[index]) for index in indexes])
-                )
-        return results
+        return self._merge_responses(members, batches, responses, unmap)
 
     def _reconcile(self):
         """Replay the apply pass's provenance into chain ids and deltas.
@@ -535,7 +449,7 @@ class ShardedCandidateTracker(CandidateTracker):
 
     def advance(self, clusters, window_start, window_end):
         closed = super().advance(clusters, window_start, window_end)
-        if self._resident and self.last_provenance is not None:
+        if self.last_provenance is not None:
             self._reconcile()
         return closed
 
@@ -545,13 +459,11 @@ class ShardedCandidateTracker(CandidateTracker):
         closed = super().advance_delta(
             clusters, delta, window_start, window_end
         )
-        if self._resident and self.last_provenance is not None:
+        if self.last_provenance is not None:
             self._reconcile()
         return closed
 
     def prune_longer_than(self, max_lifetime):
-        if not self._resident:
-            return super().prune_longer_than(max_lifetime)
         before = {
             id(candidate): position
             for position, candidate in enumerate(self._candidates)
@@ -564,12 +476,11 @@ class ShardedCandidateTracker(CandidateTracker):
 
     def flush(self):
         closed = super().flush()
-        if self._resident:
-            self._drop_positions(set())
+        self._drop_positions(set())
         return closed
 
     def snapshot_shard(self, shard):
-        """Drain one shard's resident state back to the parent.
+        """Drain one shard's worker state back to the parent.
 
         Flushes the shard's pending delta first (seeding the worker if
         its generation changed), then returns the worker's
@@ -577,8 +488,6 @@ class ShardedCandidateTracker(CandidateTracker):
         what the differential suite checks against
         :meth:`expected_shard_state`.
         """
-        if not self._resident:
-            raise RuntimeError("snapshot_shard requires resident=True")
         messages = self._shard_messages(shard)
         messages.append(("snapshot",))
         return self._backend.run([(shard, messages)])[0][-1]
@@ -586,10 +495,8 @@ class ShardedCandidateTracker(CandidateTracker):
     def expected_shard_state(self, shard):
         """The parent's authoritative view of one shard's state — what
         :meth:`snapshot_shard` must return once pending deltas land."""
-        if not self._resident:
-            raise RuntimeError("expected_shard_state requires resident=True")
         return dict(self._shard_entries(shard))
 
     def close(self):
-        """Release the executor backend (idempotent)."""
+        """Release the transport's workers (idempotent)."""
         self._backend.close()

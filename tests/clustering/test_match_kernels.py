@@ -11,8 +11,7 @@ Four layers of proof:
   ``bitset == merge == scalar`` on overlapping/disjoint id families
   (int and str ids, empty candidate sets, full-population candidates
   that exercise the subset fast path), with numpy and on the pure
-  ``int``-bitmask fallback, under forced block chunking, and across a
-  shared-remap bucket split (the sharded tracker's shape);
+  ``int``-bitmask fallback, and under forced block chunking;
 * resident rows — a worker's maintained bitset rows always decode to
   its authoritative object-set state after arbitrary put/drop delta
   sequences, and a bitset step answers exactly like a scalar step on a
@@ -33,7 +32,6 @@ import repro.clustering.numeric as numeric
 from repro.clustering.numeric import (
     MATCH_KERNELS,
     KernelDispatch,
-    bitset_remap,
     match_candidates_bitset,
     match_candidates_merge,
     match_candidates_vector,
@@ -202,23 +200,6 @@ class TestKernelEquivalence:
         for _ in range(60):
             members, jobs, m = random_match_case(rng)
             self.assert_all_equal(members, jobs, m)
-
-    def test_shared_remap_bucket_split(self, numeric_mode):
-        # The sharded tracker builds one remap over the whole tick and
-        # ships it to every shard; rows packed per bucket over that
-        # shared remap must answer exactly like the unsharded join.
-        rng = random.Random(23)
-        for _ in range(60):
-            members, jobs, m = random_match_case(rng)
-            expected = match_candidates(members, jobs, m)
-            remap = bitset_remap(jobs)
-            half = len(jobs) // 2
-            out = []
-            for bucket in (jobs[:half], jobs[half:]):
-                out.extend(
-                    match_candidates_bitset(members, bucket, m, remap)
-                )
-            assert sorted(out) == sorted(expected)
 
 
 def random_worker_ops(rng, steps=40):
@@ -433,7 +414,7 @@ class TestMinerMatchKernel:
             for transport in (
                 dict(),
                 dict(shards=2, executor="serial"),
-                dict(shards=2, executor="serial", resident=True),
+                dict(shards=2, executor="process"),
             ):
                 emitted, _counters = run_miner(
                     ticks, match_kernel=kernel, **transport

@@ -54,6 +54,15 @@ TENANTS = {
 
 STORED_TENANTS = ("full", "paper", "jittered-incremental", "vector")
 
+#: The separate-connection proof adds a tenant whose shard workers run
+#: on the process transport (one spawned worker per shard).
+PROCESS_TENANTS = dict(
+    TENANTS,
+    **{"sharded-process": (
+        dict(m=3, k=3, eps=EPS, shards=2, executor="process"), 0,
+    )},
+)
+
 
 def tenant_feed(index, name, jitter):
     """Each tenant's own deterministic arrival sequence."""
@@ -152,15 +161,16 @@ class TestDifferential:
     def test_differential_holds_across_separate_connections(self, tmp_path):
         """Same proof with each tenant on its own connection — the
         multi-client shape the CLI service actually serves."""
-        names = ["full", "incremental", "jittered", "sharded"]
+        names = ["full", "incremental", "jittered", "sharded",
+                 "sharded-process"]
         feeds = {
-            name: tenant_feed(i, name, TENANTS[name][1])
+            name: tenant_feed(i, name, PROCESS_TENANTS[name][1])
             for i, name in enumerate(names)
         }
 
         async def drive(server, name):
             async with ServiceClient("127.0.0.1", server.port) as client:
-                await client.hello(name, dict(TENANTS[name][0]))
+                await client.hello(name, dict(PROCESS_TENANTS[name][0]))
                 for start in range(0, len(feeds[name]), 6):
                     await client.feed(
                         name, feeds[name][start:start + 6]
@@ -177,6 +187,6 @@ class TestDifferential:
 
         answers = asyncio.run(run())
         for name in names:
-            want = direct_answer(dict(TENANTS[name][0]), feeds[name])
+            want = direct_answer(dict(PROCESS_TENANTS[name][0]), feeds[name])
             assert answers[name]["convoys"] == want["convoys"], name
             assert answers[name]["counters"] == want["counters"], name

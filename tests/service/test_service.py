@@ -38,6 +38,9 @@ class TestBuildMiner:
     def test_unknown_key_rejected(self):
         with pytest.raises(ProtocolError, match="unknown config key"):
             build_miner(dict(CFG, bogus=1))
+        # The resident knob is gone: every sharded miner is resident.
+        with pytest.raises(ProtocolError, match="unknown config key"):
+            build_miner(dict(CFG, shards=2, resident=True))
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ProtocolError, match="missing required key 'eps'"):
@@ -47,7 +50,9 @@ class TestBuildMiner:
         with pytest.raises(ProtocolError, match="bad miner config"):
             build_miner(dict(CFG, eps=-1.0))
         with pytest.raises(ProtocolError, match="bad miner config"):
-            build_miner(dict(CFG, executor="thread"))  # executor sans shards
+            build_miner(dict(CFG, executor="serial"))  # executor sans shards
+        with pytest.raises(ProtocolError, match="bad miner config"):
+            build_miner(dict(CFG, shards=2, executor="thread"))
 
     def test_bad_service_knobs_rejected(self):
         with pytest.raises(ProtocolError, match="tick_delay"):

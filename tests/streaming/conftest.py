@@ -47,7 +47,7 @@ class PipelineClusterOnly:
 
 def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
                 reorder=None, shards=None, executor=None, backend=None,
-                resident=False, store=None, **clusterer_kwargs):
+                store=None, **clusterer_kwargs):
     """One :class:`StreamingConvoyMiner` for one named pipeline.
 
     ``backend`` (the numeric backend, "python"/"vector") is forwarded to
@@ -68,8 +68,7 @@ def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
     return StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, window=window,
         clusterer=clusterer, reorder=reorder, shards=shards,
-        executor=executor, backend=backend, resident=resident,
-        store=store,
+        executor=executor, backend=backend, store=store,
     )
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for the executor backends and the sharding primitives."""
+"""Unit tests for the resident shard transports and the sharding primitives."""
 
 import multiprocessing
 import os
@@ -7,20 +7,15 @@ import time
 
 import pytest
 
-from repro.core.candidates import match_candidates, resolve_match_kernel
+from repro.core.candidates import resolve_match_kernel
 from repro.streaming.executor import (
     BACKENDS,
-    ProcessExecutor,
     ResidentProcessExecutor,
     ResidentProtocolError,
     ResidentSerialExecutor,
     ResidentShardWorker,
-    ResidentThreadExecutor,
-    SerialExecutor,
     ShardWorkerCrashed,
-    ThreadExecutor,
     resolve_executor,
-    resolve_resident_executor,
 )
 from repro.streaming.sharding import rendezvous_shard
 
@@ -29,139 +24,9 @@ from repro.streaming.sharding import rendezvous_shard
 _SPAWN_CANARY = "import-time"
 
 
-def _double(x):
-    """Module-level so the process backend can pickle it by reference."""
-    return 2 * x
-
-
-def _boom(_x):
-    raise RuntimeError("worker failure")
-
-
 def _worker_identity(_task):
     """Report the worker's process name and the module canary."""
     return multiprocessing.current_process().name, _SPAWN_CANARY
-
-
-class TestBackendsBehaveIdentically:
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_map_preserves_task_order(self, name):
-        backend = resolve_executor(name)
-        try:
-            assert backend.map(_double, [3, 1, 2, 7]) == [6, 2, 4, 14]
-            # A second map on the same backend reuses the pool.
-            assert backend.map(_double, [5]) == [10]
-        finally:
-            backend.close()
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_empty_task_list(self, name):
-        backend = resolve_executor(name)
-        try:
-            assert backend.map(_double, []) == []
-        finally:
-            backend.close()
-
-    @pytest.mark.parametrize("name", ["serial", "thread"])
-    def test_worker_exception_propagates(self, name):
-        backend = resolve_executor(name)
-        try:
-            with pytest.raises(RuntimeError, match="worker failure"):
-                backend.map(_boom, [1])
-        finally:
-            backend.close()
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_close_is_idempotent_and_reusable(self, name):
-        backend = resolve_executor(name)
-        backend.map(_double, [1])
-        backend.close()
-        backend.close()
-        # A closed pooled backend lazily rebuilds its pool on reuse.
-        assert backend.map(_double, [4]) == [8]
-        backend.close()
-
-    def test_match_kernel_crosses_the_process_boundary(self):
-        """The actual shard payload shape survives pickling round trips."""
-        members = [frozenset({"a", "b", "c"}), frozenset({"d", "e"})]
-        jobs = [(0, frozenset({"a", "b"}), None),
-                (1, frozenset({"d", "e"}), (1,))]
-        backend = ProcessExecutor(max_workers=1)
-        try:
-            parts = backend.map(_kernel_task, [(members, jobs, 2)])
-        finally:
-            backend.close()
-        assert parts == [match_candidates(members, jobs, 2)]
-
-
-def _kernel_task(task):
-    members, jobs, m = task
-    return match_candidates(members, jobs, m)
-
-
-class TestResolveExecutor:
-    def test_none_and_serial_resolve_to_serial(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-
-    def test_names_resolve(self):
-        assert isinstance(resolve_executor("thread"), ThreadExecutor)
-        assert isinstance(resolve_executor("process"), ProcessExecutor)
-
-    def test_custom_backend_passes_through(self):
-        class Custom:
-            def map(self, fn, tasks):
-                return [fn(t) for t in tasks]
-
-            def close(self):
-                pass
-
-        custom = Custom()
-        assert resolve_executor(custom) is custom
-
-    def test_unknown_spec_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            resolve_executor("gpu")
-        with pytest.raises(ValueError, match="executor"):
-            resolve_executor(42)
-
-    def test_process_chunksize_validated(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            ProcessExecutor(chunksize=0)
-
-
-class TestProcessExecutorContext:
-    def test_workers_are_spawned_and_named(self):
-        """The pool pins an explicit spawn context (never the platform
-        default) and names its workers: a worker must report the
-        module's import-time canary — a fork child would inherit the
-        parent's mutation — and the initializer-set process name."""
-        global _SPAWN_CANARY
-        before = _SPAWN_CANARY
-        _SPAWN_CANARY = "parent-mutated"
-        backend = ProcessExecutor(max_workers=1)
-        try:
-            [(name, canary)] = backend.map(_worker_identity, [None])
-        finally:
-            backend.close()
-            _SPAWN_CANARY = before
-        assert name == "repro-shard-worker"
-        assert canary == "import-time"
-
-    def test_explicit_context_accepted(self):
-        backend = ProcessExecutor(max_workers=1, mp_context="spawn")
-        try:
-            assert backend.map(_double, [21]) == [42]
-        finally:
-            backend.close()
-
-    def test_alive_tracks_pool_lifetime(self):
-        backend = ProcessExecutor(max_workers=1)
-        assert not backend.alive
-        backend.map(_double, [1])
-        assert backend.alive
-        backend.close()
-        assert not backend.alive
 
 
 def _batches(shards=(0, 1)):
@@ -226,7 +91,7 @@ class TestResidentShardWorker:
 class TestResidentTransports:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_transports_agree_on_the_protocol(self, name):
-        backend = resolve_resident_executor(name)
+        backend = resolve_executor(name)
         try:
             responses = backend.run(_batches())
         finally:
@@ -236,9 +101,9 @@ class TestResidentTransports:
             [("ok", 2), _EXPECTED_STEP],
         ]
 
-    @pytest.mark.parametrize("name", ["serial", "thread"])
+    @pytest.mark.parametrize("name", ["serial"])
     def test_state_persists_across_runs(self, name):
-        backend = resolve_resident_executor(name)
+        backend = resolve_executor(name)
         try:
             backend.run([(0, [("init", 2, "python",
                                [(1, frozenset({"a", "b"}))])])])
@@ -247,9 +112,9 @@ class TestResidentTransports:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("name", ["serial", "thread"])
+    @pytest.mark.parametrize("name", ["serial"])
     def test_generation_bumps_on_restart_and_close(self, name):
-        backend = resolve_resident_executor(name)
+        backend = resolve_executor(name)
         try:
             gen = backend.generation(3)
             assert backend.generation(3) == gen
@@ -260,12 +125,11 @@ class TestResidentTransports:
         finally:
             backend.close()
 
-    def test_resolve_resident_executor(self):
-        assert isinstance(resolve_resident_executor(None),
-                          ResidentSerialExecutor)
-        assert isinstance(resolve_resident_executor("thread"),
-                          ResidentThreadExecutor)
-        assert isinstance(resolve_resident_executor("process"),
+    def test_resolve_executor(self):
+        assert BACKENDS == ("serial", "process")
+        assert isinstance(resolve_executor(None), ResidentSerialExecutor)
+        assert isinstance(resolve_executor("serial"), ResidentSerialExecutor)
+        assert isinstance(resolve_executor("process"),
                           ResidentProcessExecutor)
 
         class Custom:
@@ -278,13 +142,21 @@ class TestResidentTransports:
             def close(self):
                 pass
 
+        class MapShaped:
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+            def close(self):
+                pass
+
         custom = Custom()
-        assert resolve_resident_executor(custom) is custom
-        # A map-shaped (stateless) backend is not a resident transport.
-        with pytest.raises(ValueError, match="resident executor"):
-            resolve_resident_executor(SerialExecutor())
-        with pytest.raises(ValueError, match="resident executor"):
-            resolve_resident_executor("gpu")
+        assert resolve_executor(custom) is custom
+        # A map-shaped backend is not a resident transport.
+        with pytest.raises(ValueError, match="executor"):
+            resolve_executor(MapShaped())
+        for spec in ("thread", "gpu", 42):
+            with pytest.raises(ValueError, match="executor"):
+                resolve_executor(spec)
 
 
 class TestResidentProcessExecutor:
@@ -293,10 +165,22 @@ class TestResidentProcessExecutor:
     expensive pool startups stay few."""
 
     def test_state_resides_in_a_named_spawned_worker(self):
+        global _SPAWN_CANARY
         backend = ResidentProcessExecutor()
+        before = _SPAWN_CANARY
+        _SPAWN_CANARY = "parent-mutated"
         try:
             backend.run([(0, [("init", 2, "vector",
                                [(1, frozenset({"a", "b"}))])])])
+            # The pool pins an explicit spawn context (never the
+            # platform default): the worker must report the module's
+            # import-time canary — a fork child would inherit the
+            # parent's mutation.
+            name, canary = backend._pool(0).submit(
+                _worker_identity, None
+            ).result()
+            assert (name, canary) == ("repro-resident-shard-0",
+                                      "import-time")
             pid, name, kernel, population = backend.probe(0)
             # Real process residency, not an in-process fallback.
             assert pid != os.getpid()
@@ -311,6 +195,7 @@ class TestResidentProcessExecutor:
             assert snapshot == {1: frozenset({"a", "b"})}
         finally:
             backend.close()
+            _SPAWN_CANARY = before
         assert not backend.alive
 
     def test_worker_crash_is_named_and_recoverable(self):

@@ -1,9 +1,9 @@
-"""Lifecycle tests for the sharded tracker and its executors.
+"""Lifecycle tests for the sharded tracker and its transports.
 
 Three regressions are pinned here:
 
 * **Pool leaks** — a :class:`StreamingConvoyMiner` whose tracker holds
-  an executor pool must release it on *every* exit path: normal
+  shard worker processes must release them on *every* exit path: normal
   ``flush``, and — via the miner's context-manager protocol — a stream
   that dies mid-run (the original leak: an exception between ``feed``
   calls orphaned the worker processes until interpreter exit).
@@ -54,14 +54,13 @@ class TestMinerReleasesExecutors:
         miner.flush()
         assert not backend.alive
 
-    @pytest.mark.parametrize("resident", [False, True])
-    def test_context_manager_closes_on_stream_error(self, resident):
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_context_manager_closes_on_stream_error(self, executor):
         """The pool-leak regression: a stream dying between feeds must
         not orphan worker processes — ``with miner:`` reaches the
         tracker's ``close()`` on the error path."""
-        executor = "process" if not resident else "serial"
         miner = StreamingConvoyMiner(3, 5, 8.0, shards=2,
-                                     executor=executor, resident=resident)
+                                     executor=executor)
         backend = miner.pipeline.track.tracker.executor
         ticks = _ticks()
         with pytest.raises(RuntimeError, match="stream source died"):
@@ -87,7 +86,7 @@ class TestResidentWorkerCrash:
         expected = _mine(StreamingConvoyMiner(3, 5, 8.0), ticks)
 
         miner = StreamingConvoyMiner(3, 5, 8.0, shards=2,
-                                     executor="process", resident=True)
+                                     executor="process")
         backend = miner.pipeline.track.tracker.executor
         with pytest.raises(ShardWorkerCrashed,
                            match="resident worker for shard"):
@@ -101,10 +100,10 @@ class TestResidentWorkerCrash:
         # closing again is still safe, and no pool survived.
         miner.close()
         assert not backend.alive
-        # The crash poisoned nothing durable: a fresh resident run
+        # The crash poisoned nothing durable: a fresh sharded run
         # produces the baseline answer.
         fresh = StreamingConvoyMiner(3, 5, 8.0, shards=2,
-                                     executor="process", resident=True)
+                                     executor="process")
         assert _mine(fresh, ticks) == expected
 
 

@@ -1,29 +1,27 @@
 """Differential suite: sharded candidate tracking == unsharded, bit for bit.
 
 The sharding layer (:mod:`repro.streaming.sharding`) partitions each
-tick's candidate-matching work by support-cluster id and executes the
-per-shard batches on an executor backend; its whole contract is that
-nothing observable moves.  This suite holds a sharded
-:class:`~repro.streaming.StreamingConvoyMiner` equal to the unsharded
-one **tick for tick** — same convoys at every single ``feed``, same
-flush, same live candidate sets, same shared counters — across:
+tick's candidate-matching work by support-cluster id across resident
+shard workers; its whole contract is that nothing observable moves.
+This suite holds a sharded :class:`~repro.streaming.StreamingConvoyMiner`
+equal to the unsharded one **tick for tick** — same convoys at every
+single ``feed``, same flush, same live candidate sets, same shared
+counters — across:
 
 * all three clusterer pipelines (fresh DBSCAN, incremental clustering,
   incremental + cluster-diff candidate splicing);
 * both ``paper_semantics`` modes;
-* shard counts 1–4 and every executor backend (serial everywhere;
-  thread and process on representative configurations, since their
-  per-test cost is pool startup, not coverage);
+* shard counts 1–4 on both transports (the in-process serial twin
+  everywhere; the spawned process transport on representative
+  configurations, since its per-test cost is pool startup, not
+  coverage);
 * time gaps, bounded windows, turnover, hotspot-skewed churn
   (``churn_stream(hotspots=)``), and jittered feeds through a reorder
   buffer;
 * sharded *ingestion*: per-shard reorder buffers merged through a
   :class:`~repro.streaming.WatermarkFrontier` feeding a sharded miner;
-* *resident* mode (``resident=True``): shard state held inside
-  long-lived workers fed per-tick deltas, on all three resident
-  transports — including mid-run worker restarts (the generation
-  re-seed path) and shard-state snapshots checked against the parent's
-  authoritative view.
+* mid-run worker restarts (the generation re-seed path) and shard-state
+  snapshots checked against the parent's authoritative view.
 
 Counter note: keys shared with the unsharded run (``advance_steps``,
 ``delta_steps``, ``spliced_candidates``, ``reintersected_candidates``,
@@ -78,7 +76,7 @@ class TestSerialExecutorAllPipelines:
                           paper_semantics):
         ticks = list(churn_stream(80, 40, seed=61, eps=8.0, churn=0.1,
                                   turnover=0.03, area=96.0))
-        run_lockstep_pair(
+        _base, sharded = run_lockstep_pair(
             ticks,
             make_miner(pipeline, 3, 5, 8.0,
                        paper_semantics=paper_semantics),
@@ -86,6 +84,10 @@ class TestSerialExecutorAllPipelines:
                        paper_semantics=paper_semantics,
                        shards=shards, executor="serial"),
         )
+        # Every touched worker was seeded exactly once (no mid-run
+        # re-seeds without a restart: deltas alone kept it current).
+        inits = sharded.counters["resident_inits"]
+        assert 1 <= inits <= shards
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_gaps_and_window(self, make_miner, pipeline):
@@ -140,112 +142,12 @@ class TestSerialExecutorAllPipelines:
         )
 
 
-class TestPooledExecutors:
-    @pytest.mark.parametrize("pipeline", PIPELINES)
-    def test_thread_executor(self, make_miner, pipeline):
-        ticks = list(churn_stream(70, 35, seed=73, eps=8.0, churn=0.12,
-                                  turnover=0.02, area=96.0))
-        run_lockstep_pair(
-            ticks,
-            make_miner(pipeline, 3, 5, 8.0),
-            make_miner(pipeline, 3, 5, 8.0, shards=4, executor="thread"),
-        )
-
-    def test_process_executor(self, make_miner):
-        """The process path pickles shard batches across the boundary;
-        one full-pipeline run proves the round trip loses nothing."""
-        ticks = list(churn_stream(60, 25, seed=79, eps=8.0, churn=0.12,
-                                  area=96.0))
-        run_lockstep_pair(
-            ticks,
-            make_miner("delta", 3, 5, 8.0),
-            make_miner("delta", 3, 5, 8.0, shards=2, executor="process"),
-        )
-
-    def test_process_executor_with_window_and_gaps(self, make_miner):
-        ticks = [
-            (t, snapshot)
-            for t, snapshot in churn_stream(50, 25, seed=83, eps=8.0,
-                                            churn=0.1, area=96.0)
-            if t % 9 != 5
-        ]
-        run_lockstep_pair(
-            ticks,
-            make_miner("full", 3, 5, 8.0, window=6),
-            make_miner("full", 3, 5, 8.0, window=6, shards=2,
-                       executor="process"),
-        )
-
-
 class TestResidentTransports:
-    """Resident mode == stateless sharded == unsharded, bit for bit.
+    """The process transport, worker restarts, and shard snapshots.
 
-    Resident workers hold their shard's candidate sets between ticks
-    and are fed only deltas; nothing observable may move.  The serial
-    resident transport runs the protocol in-process, so the full
-    pipeline/semantics/shard-count matrix is cheap; thread and process
-    transports get representative configurations (their cost is pool
-    startup, not coverage)."""
-
-    @pytest.mark.parametrize("paper_semantics", SEMANTICS)
-    @pytest.mark.parametrize("pipeline", PIPELINES)
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_resident_serial_churn(self, make_miner, pipeline, shards,
-                                   paper_semantics):
-        ticks = list(churn_stream(80, 40, seed=61, eps=8.0, churn=0.1,
-                                  turnover=0.03, area=96.0))
-        _base, resident = run_lockstep_pair(
-            ticks,
-            make_miner(pipeline, 3, 5, 8.0,
-                       paper_semantics=paper_semantics),
-            make_miner(pipeline, 3, 5, 8.0,
-                       paper_semantics=paper_semantics,
-                       shards=shards, executor="serial", resident=True),
-        )
-        # Every touched worker was seeded exactly once (no mid-run
-        # re-seeds without a restart: deltas alone kept it current).
-        inits = resident.counters["resident_inits"]
-        assert 1 <= inits <= shards
-
-    def test_resident_matches_stateless_sharded(self, make_miner):
-        """Resident and stateless sharded trackers agree directly, not
-        just transitively through the unsharded engine."""
-        ticks = list(churn_stream(70, 35, seed=73, eps=8.0, churn=0.12,
-                                  turnover=0.02, area=96.0))
-        run_lockstep_pair(
-            ticks,
-            make_miner("delta", 3, 5, 8.0, shards=3, executor="serial"),
-            make_miner("delta", 3, 5, 8.0, shards=3, executor="serial",
-                       resident=True),
-        )
-
-    @pytest.mark.parametrize("pipeline", PIPELINES)
-    def test_resident_gaps_and_window(self, make_miner, pipeline):
-        """Gap severing, pruning re-seeds, and support resets all churn
-        the resident chain ids; the delta stream must track them."""
-        ticks = [
-            (t, snapshot)
-            for t, snapshot in churn_stream(70, 45, seed=67, eps=8.0,
-                                            churn=0.08, turnover=0.02,
-                                            area=96.0)
-            if t % 11 != 7
-        ]
-        run_lockstep_pair(
-            ticks,
-            make_miner(pipeline, 3, 5, 8.0, window=7),
-            make_miner(pipeline, 3, 5, 8.0, window=7, shards=3,
-                       executor="serial", resident=True),
-        )
-
-    def test_resident_thread(self, make_miner):
-        ticks = list(churn_stream(70, 35, seed=73, eps=8.0, churn=0.12,
-                                  turnover=0.02, area=96.0))
-        run_lockstep_pair(
-            ticks,
-            make_miner("delta", 3, 5, 8.0),
-            make_miner("delta", 3, 5, 8.0, shards=4, executor="thread",
-                       resident=True),
-        )
+    Workers hold their shard's candidate sets between ticks and are fed
+    only deltas; nothing observable may move across the pickle boundary
+    or a worker's loss."""
 
     def test_resident_process(self, make_miner):
         """Long-lived spawned workers fed deltas across the pickle
@@ -257,25 +159,8 @@ class TestResidentTransports:
             ticks,
             make_miner("delta", 3, 5, 8.0, backend="vector"),
             make_miner("delta", 3, 5, 8.0, backend="vector", shards=2,
-                       executor="process", resident=True),
+                       executor="process"),
         )
-
-    def test_resident_jittered_reorder(self, make_miner, fuzz_workload):
-        base_ticks, feed, lateness = fuzz_workload(2)
-        plain = make_miner("delta", 3, 5, 8.0)
-        expected = []
-        for t, snapshot in base_ticks:
-            expected.extend(plain.feed(t, dict(snapshot)))
-        expected.extend(plain.flush())
-        resident = make_miner(
-            "delta", 3, 5, 8.0, reorder=dict(allowed_lateness=lateness),
-            shards=3, executor="serial", resident=True,
-        )
-        got = []
-        for t, snapshot in feed:
-            got.extend(resident.feed(t, snapshot))
-        got.extend(resident.flush())
-        assert got == expected
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_mid_run_restart_recovers(self, make_miner, executor):
@@ -286,7 +171,7 @@ class TestResidentTransports:
                                   turnover=0.02, area=96.0))
         base = make_miner("delta", 3, 5, 8.0)
         resident = make_miner("delta", 3, 5, 8.0, shards=2,
-                              executor=executor, resident=True)
+                              executor=executor)
         tracker = resident.pipeline.track.tracker
         with base, resident:
             for t, snapshot in ticks:
@@ -305,7 +190,7 @@ class TestResidentTransports:
         ticks = list(churn_stream(60, 24, seed=95, eps=8.0, churn=0.12,
                                   area=96.0))
         resident = make_miner("delta", 3, 5, 8.0, shards=3,
-                              executor="serial", resident=True)
+                              executor="serial")
         tracker = resident.pipeline.track.tracker
         checked = 0
         with resident:

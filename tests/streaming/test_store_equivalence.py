@@ -2,8 +2,8 @@
 and the store's read-back is bit-for-bit the in-memory answer.
 
 Two properties, held jointly across all three clusterer pipelines, both
-candidate semantics, sharded/resident trackers, gap-severed streams, and
-bounded windows:
+candidate semantics, sharded trackers on both transports, gap-severed
+streams, and bounded windows:
 
 * **transparency** — a miner with ``store=`` emits, tick for tick,
   exactly what the plain miner emits (the sink observes the stream but
@@ -115,15 +115,15 @@ class TestBoundedWindow:
                          window=12, paper_semantics=paper_semantics)
 
 
-class TestShardedAndResident:
+class TestSharded:
     @pytest.mark.parametrize("paper_semantics", SEMANTICS)
     def test_sharded_serial(self, make_miner, tmp_path, paper_semantics):
         run_differential(make_miner, tmp_path, "full", gap_workload(),
                          shards=3, paper_semantics=paper_semantics)
 
-    def test_resident_thread_executor(self, make_miner, tmp_path):
+    def test_sharded_process(self, make_miner, tmp_path):
         run_differential(make_miner, tmp_path, "full", gap_workload(),
-                         shards=2, executor="thread", resident=True)
+                         shards=2, executor="process")
 
 
 class TestRestartResumesWithoutDuplicates:

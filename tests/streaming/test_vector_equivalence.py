@@ -13,7 +13,7 @@ counters — across:
 * all three clusterer pipelines (fresh DBSCAN, incremental clustering,
   incremental + cluster-diff candidate splicing);
 * both ``paper_semantics`` modes;
-* sharded trackers (the vector kernel crossing the executor boundary,
+* sharded trackers (the vector kernel crossing the shard-worker boundary,
   including the pickling process path);
 * time gaps, bounded windows, turnover, and jittered feeds through a
   reorder buffer;

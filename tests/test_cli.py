@@ -361,30 +361,40 @@ class TestStream:
 
 
 class TestStreamSharding:
-    @pytest.mark.parametrize("executor", [None, "thread"])
+    @pytest.mark.parametrize("executor", [None, "process"])
     def test_sharded_answer_matches_unsharded(self, convoy_csv, tmp_path,
                                               executor):
+        """Sharding through the CLI on both transports: identical
+        convoys, the executor named in the sharding summary, and the
+        resident workers' seeding recorded in the JSON counters."""
         base_out = tmp_path / "base.csv"
         sharded_out = tmp_path / "sharded.csv"
+        json_out = tmp_path / "sharded.json"
         code, _ = run_cli(
             ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
              "--output", str(base_out)]
         )
         assert code == 0
         argv = ["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                "-e", "2.0", "--shards", "3", "--output", str(sharded_out)]
+                "-e", "2.0", "--shards", "3", "--output", str(sharded_out),
+                "--json", str(json_out)]
         if executor is not None:
             argv += ["--executor", executor]
         code, text = run_cli(argv)
         assert code == 0, text
         assert "sharding:" in text
         assert "3 shard(s)" in text
+        assert f"on the {executor or 'serial'} executor" in text
         assert sharded_out.read_text() == base_out.read_text()
+        with open(json_out) as handle:
+            payload = json.load(handle)
+        assert "resident" not in payload["params"]
+        assert payload["counters"]["resident_inits"] >= 1
 
     def test_executor_requires_shards(self, convoy_csv):
         code, text = run_cli(
             ["stream", str(convoy_csv), "-m", "2", "-k", "5", "-e", "2.0",
-             "--executor", "thread"]
+             "--executor", "process"]
         )
         assert code == 2
         assert "--shards" in text
@@ -404,42 +414,17 @@ class TestStreamSharding:
         assert code == 0
         assert "sharding:" not in text
 
-    @pytest.mark.parametrize("executor", [None, "process"])
-    def test_resident_answer_matches_unsharded(self, convoy_csv, tmp_path,
-                                               executor):
-        """Resident mode through the CLI: identical convoys, the
-        resident marker in the sharding summary, and the flag recorded
-        in the JSON params."""
-        base_out = tmp_path / "base.csv"
-        resident_out = tmp_path / "resident.csv"
-        json_out = tmp_path / "resident.json"
-        code, _ = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--output", str(base_out)]
-        )
-        assert code == 0
-        argv = ["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                "-e", "2.0", "--shards", "3", "--resident",
-                "--output", str(resident_out), "--json", str(json_out)]
-        if executor is not None:
-            argv += ["--executor", executor]
-        code, text = run_cli(argv)
-        assert code == 0, text
-        assert "sharding:" in text
-        assert "resident" in text
-        assert resident_out.read_text() == base_out.read_text()
-        with open(json_out) as handle:
-            payload = json.load(handle)
-        assert payload["params"]["resident"] is True
-        assert payload["counters"]["resident_inits"] >= 1
-
-    def test_resident_requires_shards(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "5", "-e", "2.0",
-             "--resident"]
-        )
-        assert code == 2
-        assert "--shards" in text
+    @pytest.mark.parametrize("flag", [["--resident"],
+                                      ["--executor", "thread"]],
+                             ids=["resident", "thread"])
+    def test_removed_transport_options_rejected(self, convoy_csv, flag):
+        """One transport design: the resident knob and the thread
+        executor are gone from the parser."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["stream", str(convoy_csv), "-m", "2", "-k", "5",
+                 "-e", "2.0", "--shards", "2"] + flag
+            )
 
 
 class TestStreamJson:
@@ -461,7 +446,7 @@ class TestStreamJson:
         assert payload["params"] == {
             "m": 2, "k": 10, "eps": 2.0, "paper_semantics": False,
             "window": None, "shards": None, "executor": None,
-            "backend": "python", "match_kernel": None, "resident": False,
+            "backend": "python", "match_kernel": None,
         }
         # Round trip: rebuild the CSV rows from the JSON convoys.
         rebuilt = ["t_start,t_end,size,objects"]
