@@ -11,7 +11,9 @@ Four layers of proof:
   ``bitset == merge == scalar`` on overlapping/disjoint id families
   (int and str ids, empty candidate sets, full-population candidates
   that exercise the subset fast path), with numpy and on the pure
-  ``int``-bitmask fallback, and under forced block chunking;
+  ``int``-bitmask fallback, under forced block chunking, and across a
+  per-bucket split in which each bucket packs its own rows (the
+  sharded tracker's shape);
 * resident rows — a worker's maintained bitset rows always decode to
   its authoritative object-set state after arbitrary put/drop delta
   sequences, and a bitset step answers exactly like a scalar step on a
@@ -200,6 +202,22 @@ class TestKernelEquivalence:
         for _ in range(60):
             members, jobs, m = random_match_case(rng)
             self.assert_all_equal(members, jobs, m)
+
+    def test_bucket_split(self, numeric_mode):
+        # The sharded tracker splits one tick's jobs into shard buckets
+        # and every shard packs its own rows over its own id remap; the
+        # buckets' answers together must equal the unsharded join.
+        rng = random.Random(23)
+        for _ in range(60):
+            members, jobs, m = random_match_case(rng)
+            expected = match_candidates(members, jobs, m)
+            buckets = ([], [], [])
+            for job in jobs:
+                buckets[rng.randrange(3)].append(job)
+            out = []
+            for bucket in buckets:
+                out.extend(match_candidates_bitset(members, bucket, m))
+            assert sorted(out) == sorted(expected)
 
 
 def random_worker_ops(rng, steps=40):

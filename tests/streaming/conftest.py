@@ -47,14 +47,15 @@ class PipelineClusterOnly:
 
 def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
                 reorder=None, shards=None, executor=None, backend=None,
-                store=None, **clusterer_kwargs):
+                store=None, match_kernel=None, **clusterer_kwargs):
     """One :class:`StreamingConvoyMiner` for one named pipeline.
 
     ``backend`` (the numeric backend, "python"/"vector") is forwarded to
     both the engine and the pipeline's own clusterer instance, so a
     backend-parameterized suite exercises every vectorized seam at once.
     ``store`` (a ConvoyStore or path) forwards to the engine's
-    write-through persistence sink.
+    write-through persistence sink, and ``match_kernel`` to the
+    engine's candidate tracker (sharded or not).
     """
     if pipeline not in PIPELINE_NAMES:
         raise ValueError(f"unknown pipeline {pipeline!r}")
@@ -69,6 +70,7 @@ def build_miner(pipeline, m, k, eps, *, paper_semantics=False, window=None,
         m, k, eps, paper_semantics=paper_semantics, window=window,
         clusterer=clusterer, reorder=reorder, shards=shards,
         executor=executor, backend=backend, store=store,
+        match_kernel=match_kernel,
     )
 
 

@@ -7,7 +7,11 @@ import time
 
 import pytest
 
-from repro.core.candidates import resolve_match_kernel
+from repro.core.candidates import (
+    FIXED_MATCH_KERNELS,
+    match_candidates,
+    resolve_match_kernel,
+)
 from repro.streaming.executor import (
     BACKENDS,
     ResidentProcessExecutor,
@@ -48,6 +52,123 @@ def _batches(shards=(0, 1)):
 
 #: Expected step responses for :func:`_batches` (shard-independent).
 _EXPECTED_STEP = ((0, (0,)), (1, (0,)))
+
+
+def _population_batches(shards):
+    """One ``init`` per shard whose population names the shard, so
+    the response order shows which worker answered which batch."""
+    return [
+        (shard, [("init", 2, "python", [
+            (100 * shard + i, frozenset({f"o{shard}-{i}", "x"}))
+            for i in range(shard + 1)
+        ])])
+        for shard in shards
+    ]
+
+
+class TestBackendsBehaveIdentically:
+    """Both transports honour the same ``run`` contract: responses in
+    batch order, nothing for nothing, worker errors surfaced as the
+    protocol's own exception, and ``close`` idempotent and reusable."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_run_preserves_batch_order(self, name):
+        backend = resolve_executor(name)
+        try:
+            responses = backend.run(_population_batches((2, 0, 1)))
+            assert responses == [[("ok", 3)], [("ok", 1)], [("ok", 2)]]
+            # A second run on the same backend reaches the same workers.
+            assert backend.run([(1, [("snapshot",)]),
+                                (2, [("snapshot",)])]) == [
+                [{100: frozenset({"o1-0", "x"}),
+                  101: frozenset({"o1-1", "x"})}],
+                [{200: frozenset({"o2-0", "x"}),
+                  201: frozenset({"o2-1", "x"}),
+                  202: frozenset({"o2-2", "x"})}],
+            ]
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_empty_batch_list(self, name):
+        backend = resolve_executor(name)
+        try:
+            assert backend.run([]) == []
+            # Nothing to run starts no worker.
+            assert not backend.alive
+            # A shard with no messages answers with no responses.
+            assert backend.run([(0, [])]) == [[]]
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_worker_exception_propagates(self, name):
+        """A reconciliation bug surfaces as ResidentProtocolError on both
+        transports (the process one pickles it back) — never as a crash
+        — and the worker keeps its state and its generation."""
+        backend = resolve_executor(name)
+        try:
+            backend.run(_population_batches((0,)))
+            gen = backend.generation(0)
+            with pytest.raises(ResidentProtocolError,
+                               match="drop for unknown chain 7"):
+                backend.run([(0, [("step", (), (("drop", 7),), ())])])
+            assert backend.generation(0) == gen
+            assert backend.run([(0, [("snapshot",)])]) == [
+                [{0: frozenset({"o0-0", "x"})}]
+            ]
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_close_is_idempotent_and_reusable(self, name):
+        backend = resolve_executor(name)
+        backend.run(_population_batches((0,)))
+        gen = backend.generation(0)
+        backend.close()
+        backend.close()
+        assert not backend.alive
+        # A closed backend rebuilds its worker on reuse, stateless and
+        # under a fresh generation, so the tracker re-seeds it.
+        try:
+            assert backend.generation(0) > gen
+            with pytest.raises(ResidentProtocolError, match="before init"):
+                backend.run([(0, [("step", [frozenset({"a", "b"})], (),
+                                   ((0, 1, None),))])])
+            assert backend.run(_batches(shards=(0,))) == [
+                [("ok", 2), _EXPECTED_STEP]
+            ]
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("kernel", sorted(FIXED_MATCH_KERNELS))
+    def test_match_kernel_crosses_the_process_boundary(self, kernel):
+        """A step naming a fixed kernel answers identically in a spawned
+        worker, in the serial twin, and in the direct kernel call."""
+        members = [frozenset({"a", "b", "c"}), frozenset({"d", "e"}),
+                   frozenset({"a", "d", "e", "f"})]
+        chains = [(1, frozenset({"a", "b"})), (2, frozenset({"d", "e"})),
+                  (3, frozenset({"a", "f", "z"}))]
+        jobs = ((0, 1, None), (1, 2, (1, 2)), (2, 3, None))
+        objects = dict(chains)
+        direct = tuple(
+            (pos, tuple(index for index, _common in matches))
+            for pos, matches in match_candidates(
+                members, [(pos, objects[chain], scan)
+                          for pos, chain, scan in jobs], 2,
+            )
+        )
+        batches = [(0, [("init", 2, "python", chains),
+                        ("step", members, (), jobs, kernel)])]
+        answers = []
+        for name in BACKENDS:
+            backend = resolve_executor(name)
+            try:
+                [[_ok, step]] = backend.run(batches)
+            finally:
+                backend.close()
+            answers.append(step)
+        assert answers == [direct, direct]
 
 
 class TestResidentShardWorker:
@@ -101,7 +222,7 @@ class TestResidentTransports:
             [("ok", 2), _EXPECTED_STEP],
         ]
 
-    @pytest.mark.parametrize("name", ["serial"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_state_persists_across_runs(self, name):
         backend = resolve_executor(name)
         try:
@@ -112,7 +233,7 @@ class TestResidentTransports:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("name", ["serial"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_generation_bumps_on_restart_and_close(self, name):
         backend = resolve_executor(name)
         try:
@@ -125,13 +246,40 @@ class TestResidentTransports:
         finally:
             backend.close()
 
-    def test_resolve_executor(self):
-        assert BACKENDS == ("serial", "process")
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_restart_discards_only_that_shard(self, name):
+        backend = resolve_executor(name)
+        try:
+            backend.run(_population_batches((0, 1)))
+            backend.restart(0)
+            # Shard 1 keeps its state; shard 0 comes back empty.
+            assert backend.run([(1, [("snapshot",)])]) == [
+                [{100: frozenset({"o1-0", "x"}),
+                  101: frozenset({"o1-1", "x"})}]
+            ]
+            assert backend.run([(0, [("snapshot",)])]) == [[{}]]
+        finally:
+            backend.close()
+
+
+class TestResolveExecutor:
+    def test_none_and_serial_resolve_to_serial(self):
         assert isinstance(resolve_executor(None), ResidentSerialExecutor)
         assert isinstance(resolve_executor("serial"), ResidentSerialExecutor)
+
+    def test_names_resolve(self):
+        assert BACKENDS == ("serial", "process")
         assert isinstance(resolve_executor("process"),
                           ResidentProcessExecutor)
+        for name in BACKENDS:
+            assert resolve_executor(name).name == name
 
+    def test_each_resolve_is_a_fresh_transport(self):
+        """Two miners naming the same transport never share workers."""
+        for name in BACKENDS:
+            assert resolve_executor(name) is not resolve_executor(name)
+
+    def test_custom_backend_passes_through(self):
         class Custom:
             def run(self, batches):
                 return []
@@ -142,6 +290,11 @@ class TestResidentTransports:
             def close(self):
                 pass
 
+        custom = Custom()
+        assert resolve_executor(custom) is custom
+
+    def test_map_shaped_backend_rejected(self):
+        """A map-shaped (stateless) backend is not a resident transport."""
         class MapShaped:
             def map(self, fn, tasks):
                 return [fn(t) for t in tasks]
@@ -149,14 +302,57 @@ class TestResidentTransports:
             def close(self):
                 pass
 
-        custom = Custom()
-        assert resolve_executor(custom) is custom
-        # A map-shaped backend is not a resident transport.
         with pytest.raises(ValueError, match="executor"):
             resolve_executor(MapShaped())
-        for spec in ("thread", "gpu", 42):
-            with pytest.raises(ValueError, match="executor"):
-                resolve_executor(spec)
+
+    @pytest.mark.parametrize("spec", ["thread", "gpu", 42])
+    def test_unknown_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="executor"):
+            resolve_executor(spec)
+
+
+class TestProcessExecutorContext:
+    def test_explicit_context_accepted(self):
+        for context in ("spawn", multiprocessing.get_context("spawn")):
+            backend = ResidentProcessExecutor(mp_context=context)
+            try:
+                assert repr(context) in repr(backend)
+                assert backend.run(_population_batches((0,))) == [
+                    [("ok", 1)]
+                ]
+            finally:
+                backend.close()
+
+    def test_alive_tracks_pool_lifetime(self):
+        backend = ResidentProcessExecutor()
+        assert not backend.alive
+        backend.generation(0)
+        assert backend.alive
+        backend.restart(0)
+        assert not backend.alive
+        backend.run(_population_batches((0,)))
+        assert backend.alive
+        backend.close()
+        assert not backend.alive
+
+    def test_one_named_process_per_shard(self):
+        """Shard affinity: each shard's messages reach its own process,
+        named after the shard; restarting one shard replaces only its
+        process."""
+        backend = ResidentProcessExecutor()
+        try:
+            backend.run(_population_batches((0, 1)))
+            pid0, name0, _kernel, population0 = backend.probe(0)
+            pid1, name1, _kernel, population1 = backend.probe(1)
+            assert len({pid0, pid1, os.getpid()}) == 3
+            assert (name0, name1) == ("repro-resident-shard-0",
+                                      "repro-resident-shard-1")
+            assert (population0, population1) == (1, 2)
+            backend.restart(0)
+            assert backend.probe(0)[0] not in (pid0, pid1)
+            assert backend.probe(1)[0] == pid1
+        finally:
+            backend.close()
 
 
 class TestResidentProcessExecutor:

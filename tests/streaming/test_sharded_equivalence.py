@@ -20,6 +20,9 @@ counters — across:
   buffer;
 * sharded *ingestion*: per-shard reorder buffers merged through a
   :class:`~repro.streaming.WatermarkFrontier` feeding a sharded miner;
+* the ``bitset`` match kernel run straight off the rows each resident
+  worker patches in place, with the rows decoded back against the
+  worker's object sets after every tick;
 * mid-run worker restarts (the generation re-seed path) and shard-state
   snapshots checked against the parent's authoritative view.
 
@@ -52,13 +55,20 @@ SHARED_COUNTER_KEYS = (
 )
 
 
-def run_lockstep_pair(ticks, base, sharded, *, require_sharding=True):
-    """Feed both miners every tick; assert emissions and live state equal."""
+def run_lockstep_pair(ticks, base, sharded, *, require_sharding=True,
+                      after_tick=None):
+    """Feed both miners every tick; assert emissions and live state equal.
+
+    ``after_tick(sharded)``, when given, runs after every tick's checks
+    (before ``flush`` closes the sharded miner's workers).
+    """
     for t, snapshot in ticks:
         expected = base.feed(t, dict(snapshot))
         got = sharded.feed(t, dict(snapshot))
         assert got == expected, f"tick {t}: sharded diverged"
         assert sharded.live_candidates == base.live_candidates, f"tick {t}"
+        if after_tick is not None:
+            after_tick(sharded)
     assert sharded.flush() == base.flush()
     for key in SHARED_COUNTER_KEYS:
         assert sharded.counters[key] == base.counters[key], key
@@ -142,12 +152,149 @@ class TestSerialExecutorAllPipelines:
         )
 
 
+class TestPooledExecutors:
+    """The spawned process transport on every pipeline.
+
+    Each shard's worker is its own one-process pool, so these runs pay
+    pool startup per shard; the configurations are representative, not
+    the full matrix the serial twin covers."""
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_four_process_shards(self, make_miner, pipeline):
+        ticks = list(churn_stream(70, 35, seed=73, eps=8.0, churn=0.12,
+                                  turnover=0.02, area=96.0))
+        _base, sharded = run_lockstep_pair(
+            ticks,
+            make_miner(pipeline, 3, 5, 8.0),
+            make_miner(pipeline, 3, 5, 8.0, shards=4, executor="process"),
+        )
+        assert 1 <= sharded.counters["resident_inits"] <= 4
+
+    def test_process_executor(self, make_miner):
+        """The python-backend kernel resolved inside spawned workers:
+        one full-pipeline run proves the delta round trip loses
+        nothing."""
+        ticks = list(churn_stream(60, 25, seed=79, eps=8.0, churn=0.12,
+                                  area=96.0))
+        run_lockstep_pair(
+            ticks,
+            make_miner("delta", 3, 5, 8.0),
+            make_miner("delta", 3, 5, 8.0, shards=2, executor="process"),
+        )
+
+    def test_process_executor_with_window_and_gaps(self, make_miner):
+        ticks = [
+            (t, snapshot)
+            for t, snapshot in churn_stream(50, 25, seed=83, eps=8.0,
+                                            churn=0.1, area=96.0)
+            if t % 9 != 5
+        ]
+        run_lockstep_pair(
+            ticks,
+            make_miner("full", 3, 5, 8.0, window=6),
+            make_miner("full", 3, 5, 8.0, window=6, shards=2,
+                       executor="process"),
+        )
+
+
+class BitsetRowCheck:
+    """``after_tick`` hook: every serial-twin worker's maintained bitset
+    rows decode to its authoritative object sets.  It reads the workers
+    without sending them a message, so the tracker's delta flow is
+    untouched; ``checked`` counts the worker states compared."""
+
+    def __init__(self):
+        self.checked = 0
+
+    def __call__(self, miner):
+        workers = miner.pipeline.track.tracker.executor._workers
+        for shard, worker in workers.items():
+            assert worker.bitset_rows() == worker.handle(("snapshot",)), (
+                f"shard {shard}"
+            )
+            self.checked += 1
+
+
 class TestResidentTransports:
-    """The process transport, worker restarts, and shard snapshots.
+    """The process transport, the bitset rows, worker restarts, and
+    shard snapshots.
 
     Workers hold their shard's candidate sets between ticks and are fed
     only deltas; nothing observable may move across the pickle boundary
-    or a worker's loss."""
+    or a worker's loss.  The ``bitset`` runs match every tick straight
+    off the rows each worker patches in place from the put/drop deltas,
+    so any drift between rows and state would change an emission."""
+
+    @pytest.mark.parametrize("paper_semantics", SEMANTICS)
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_resident_serial_churn(self, make_miner, pipeline, shards,
+                                   paper_semantics):
+        ticks = list(churn_stream(80, 40, seed=61, eps=8.0, churn=0.1,
+                                  turnover=0.03, area=96.0))
+        rows = BitsetRowCheck()
+        _base, sharded = run_lockstep_pair(
+            ticks,
+            make_miner(pipeline, 3, 5, 8.0,
+                       paper_semantics=paper_semantics),
+            make_miner(pipeline, 3, 5, 8.0,
+                       paper_semantics=paper_semantics,
+                       shards=shards, executor="serial",
+                       match_kernel="bitset"),
+            after_tick=rows,
+        )
+        assert 1 <= sharded.counters["resident_inits"] <= shards
+        assert rows.checked > 0
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_resident_gaps_and_window(self, make_miner, pipeline):
+        """Gap severing, pruning re-seeds, and support resets all churn
+        the resident chain ids; the bitset rows must track them."""
+        ticks = [
+            (t, snapshot)
+            for t, snapshot in churn_stream(70, 45, seed=67, eps=8.0,
+                                            churn=0.08, turnover=0.02,
+                                            area=96.0)
+            if t % 11 != 7
+        ]
+        rows = BitsetRowCheck()
+        run_lockstep_pair(
+            ticks,
+            make_miner(pipeline, 3, 5, 8.0, window=7),
+            make_miner(pipeline, 3, 5, 8.0, window=7, shards=3,
+                       executor="serial", match_kernel="bitset"),
+            after_tick=rows,
+        )
+        assert rows.checked > 0
+
+    def test_resident_jittered_reorder(self, make_miner, fuzz_workload):
+        base_ticks, feed, lateness = fuzz_workload(2)
+        plain = make_miner("delta", 3, 5, 8.0)
+        expected = []
+        for t, snapshot in base_ticks:
+            expected.extend(plain.feed(t, dict(snapshot)))
+        expected.extend(plain.flush())
+        sharded = make_miner(
+            "delta", 3, 5, 8.0, reorder=dict(allowed_lateness=lateness),
+            shards=3, executor="serial", match_kernel="bitset",
+        )
+        got = []
+        for t, snapshot in feed:
+            got.extend(sharded.feed(t, snapshot))
+        got.extend(sharded.flush())
+        assert got == expected
+
+    def test_shard_counts_agree_directly(self, make_miner):
+        """Two shard counts agree with each other directly, not just
+        transitively through the unsharded engine: rendezvous routing
+        moves chains between workers without moving any answer."""
+        ticks = list(churn_stream(70, 35, seed=73, eps=8.0, churn=0.12,
+                                  turnover=0.02, area=96.0))
+        run_lockstep_pair(
+            ticks,
+            make_miner("delta", 3, 5, 8.0, shards=2, executor="serial"),
+            make_miner("delta", 3, 5, 8.0, shards=5, executor="serial"),
+        )
 
     def test_resident_process(self, make_miner):
         """Long-lived spawned workers fed deltas across the pickle

@@ -414,6 +414,35 @@ class TestStreamSharding:
         assert code == 0
         assert "sharding:" not in text
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_sharded_bitset_kernel_matches_unsharded(self, convoy_csv,
+                                                     tmp_path, executor):
+        """A fixed kernel reaches the shard workers through the CLI: the
+        bitset rows they maintain answer exactly like the unsharded
+        default, and the JSON params record the whole transport."""
+        base_out = tmp_path / "base.csv"
+        sharded_out = tmp_path / "sharded.csv"
+        json_out = tmp_path / "sharded.json"
+        code, _ = run_cli(
+            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
+             "--output", str(base_out)]
+        )
+        assert code == 0
+        code, text = run_cli(
+            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
+             "--shards", "2", "--executor", executor,
+             "--match-kernel", "bitset", "--output", str(sharded_out),
+             "--json", str(json_out)]
+        )
+        assert code == 0, text
+        assert f"on the {executor} executor" in text
+        assert "match kernel dispatch" not in text
+        assert sharded_out.read_text() == base_out.read_text()
+        with open(json_out) as handle:
+            params = json.load(handle)["params"]
+        assert (params["shards"], params["executor"],
+                params["match_kernel"]) == (2, executor, "bitset")
+
     @pytest.mark.parametrize("flag", [["--resident"],
                                       ["--executor", "thread"]],
                              ids=["resident", "thread"])
