@@ -1,37 +1,37 @@
-"""Match kernels — bitset vs merge vs scalar, and the auto dispatcher.
+"""Candidate-match join — pairwise vs owner join, and the selection rule.
 
-The candidate-match join has three representation tiers
-(``repro.clustering.numeric``): ``scalar`` (pairwise Python set
-intersections), ``merge`` (sorted int-id arrays, one merge-intersection
-per scanned pair), and ``bitset`` (object ids packed into ``uint64``
-words over a per-tick dense remap; intersections are word-AND plus
-popcount over a whole block at once).  ``auto`` is the
-:class:`~repro.clustering.numeric.KernelDispatch` policy: it measures
-per-tick cost, fits a per-kernel cost model, and picks the cheapest —
-never batching below its exploration floor, which is precisely the
-small-delta regime where batch overhead used to lose (the 0.83x row of
-``BENCH_vector_kernel.json``).
-
-Two timing regimes, each preceded by identical *untimed warmup ticks*
-(so ``auto``'s exploration probes are not billed against it and every
-kernel's timed window starts from the same steady state):
+Every CMC step joins each scanning candidate against the clusters its
+scan names.  :func:`repro.core.candidates.match_candidates` runs that
+join with one of two pure-Python kernels, picked per call from the
+jobs' shape: the pairwise reference (one set intersection per scanned
+pair) when the mean scan fan is below
+:data:`~repro.core.candidates.OWNER_JOIN_MIN_FAN`, the owner join (at
+most one hash probe per candidate object, exact because snapshot
+clusters are disjoint) from it on.  This bench times three paths on the same ticks —
+``pairwise`` and ``owner`` forced in-process through the module
+constant, and ``selected`` (the rule as shipped) — over three regimes:
 
 * ``dense`` — the hotspot-drift workload
   (:func:`repro.streaming.hotspot_drift_scenario`, 10^5 objects in the
   full run): large stable packs replayed as the per-tick clustering, so
-  the cost is almost entirely the candidate join over thousands of
-  large-set pairs.  Acceptance: ``bitset`` must clear ``BITSET_BAR``
-  (3x) snapshots/sec over ``merge`` here.
+  the cost is almost entirely the join over thousands of wide scans.
 * ``small-delta`` — the incremental pipeline on a churn stream, where
-  per-tick deltas are tiny and the scalar kernel wins.
+  per-tick deltas are tiny, scans narrow, and pairwise wins.
+* ``tracker-bound`` — the replay workload of
+  ``bench_sharded_scaling.py``: hundreds of clusters joined against
+  >1000 live candidates.  Acceptance: ``owner`` must clear
+  ``VECTOR_BAR`` (3x) snapshots/sec over ``pairwise`` here.
 
-In *both* regimes ``auto`` must reach ``AUTO_BAR`` (0.95x) of the best
-fixed kernel — the dispatcher is only accepted if adaptivity is nearly
-free everywhere.
+In every regime ``selected`` must reach ``AUTO_BAR`` (0.95x) of the
+best forced path — the rule is only accepted if it is never measurably
+worse than knowing the answer in advance.  The paths are timed in
+lockstep rounds (:func:`run_round`), and each regime's first ticks are
+an untimed warmup.
 
-Every run additionally asserts tick-for-tick equivalence of all four
-kernels against the scalar baseline across the shipping transports:
-unsharded, and sharded on the serial and process shard transports.
+Every run additionally asserts tick-for-tick equivalence of the three
+paths on every regime, and across the shipping transports: unsharded,
+and sharded on the serial and process shard transports (spawned
+workers do not see the in-process forcing; they pick their own path).
 
 Run ``python benchmarks/bench_match_kernel.py`` for the table,
 ``--smoke`` for a seconds-long CI-sized run (equivalence assertions
@@ -43,11 +43,17 @@ import argparse
 import gc
 import statistics
 import time
+from contextlib import ExitStack, contextmanager
 
-from benchmarks.bench_sharded_scaling import ReplayClusterer
+import repro.core.candidates as candidates
+from benchmarks.bench_sharded_scaling import (
+    FULL_SCALE,
+    SMOKE_SCALE,
+    ReplayClusterer,
+    make_workload,
+)
 from benchmarks.common import print_report, safe_rate, write_bench_json
 from repro.bench import format_table
-from repro.clustering.numeric import have_numpy
 from repro.streaming import (
     StreamingConvoyMiner,
     churn_stream,
@@ -56,30 +62,33 @@ from repro.streaming import (
 
 M, K, EPS = 3, 8, 10.0
 
-KERNELS = ("scalar", "merge", "bitset", "auto")
+#: Timed paths, in report order: ``OWNER_JOIN_MIN_FAN`` forced to
+#: always-pairwise, to always-owner, and left as shipped.
+PATHS = ("pairwise", "owner", "selected")
+_FAN = {"pairwise": float("inf"), "owner": 0,
+        "selected": candidates.OWNER_JOIN_MIN_FAN}
 
-#: bitset must clear this speedup over merge on the dense regime (full
-#: mode, numpy available).
-BITSET_BAR = 3.0
-#: auto must reach this fraction of the best fixed kernel's rate in
+#: owner must clear this speedup over pairwise on the tracker-bound
+#: regime (full mode).
+VECTOR_BAR = 3.0
+#: selected must reach this fraction of the best forced path's rate in
 #: every measured regime.
 AUTO_BAR = 0.95
 
-#: warmup ticks are fed before the timer starts, identically for every
-#: kernel; 8 covers auto's exploration probes (2 rounds x 3 kernels)
-#: with margin, so the timed window measures the settled policy.
-#: 200 hotspots over an 8k hot population keeps per-tick work high
-#: enough (~30ms bitset ticks) that the 0.95x auto bar is measurable
-#: above container timing noise, while the 40-object packs keep merge's
-#: per-pair overhead dominant (bitset >3x merge).
+#: 200 hotspots over an 8k hot population: every candidate scans 200
+#: clusters per tick.
 FULL_DENSE = dict(n_objects=100_000, n_snapshots=28, hotspots=200,
                   background=0.92, warmup=8)
 SMOKE_DENSE = dict(n_objects=3_000, n_snapshots=10, hotspots=12,
                    background=0.9, warmup=3)
-#: 2.5k objects put the small-delta scalar tick at ~25ms — like the
-#: dense shape, sized so the auto bar clears container timing noise.
+#: 2.5k objects put the small-delta pairwise tick at ~25ms, where the
+#: scans stay narrow (3-11 clusters per candidate).
 FULL_SMALL = dict(n_objects=2500, n_snapshots=36, churn=0.15, warmup=8)
 SMOKE_SMALL = dict(n_objects=120, n_snapshots=12, churn=0.15, warmup=3)
+#: The tracker-bound replay: ``bench_sharded_scaling``'s scales, with
+#: a warmup that lets the live candidate set fill up.
+FULL_TRACKER = dict(FULL_SCALE, warmup=8)
+SMOKE_TRACKER = dict(SMOKE_SCALE, warmup=3)
 
 #: (shards, executor) transports of the equivalence grid.
 TRANSPORTS = (
@@ -87,6 +96,17 @@ TRANSPORTS = (
     (2, "serial"),
     (2, "process"),
 )
+
+
+@contextmanager
+def forced(path):
+    """Pin :func:`~repro.core.candidates.match_candidates` to one path."""
+    saved = candidates.OWNER_JOIN_MIN_FAN
+    candidates.OWNER_JOIN_MIN_FAN = _FAN[path]
+    try:
+        yield
+    finally:
+        candidates.OWNER_JOIN_MIN_FAN = saved
 
 
 def make_dense_workload(scale, seed=42):
@@ -115,110 +135,108 @@ def make_small_workload(scale, seed=42):
     ))
 
 
-def run_timed(make_miner, ticks, warmup):
-    """One engine run, timing every tick past the first ``warmup``.
+def make_tracker_workload(scale):
+    """The sharding bench's tracker-bound ticks and their clustering."""
+    snapshots, clusters = make_workload(scale)
+    return list(enumerate(snapshots)), clusters
 
-    Returns ``(per-tick emissions incl. flush, counters, tick secs)``.
-    The flush is outside the timed window (its cost is per-candidate
-    teardown, identical for every kernel), but inside the emissions so
-    the equivalence assertions cover the whole answer.
 
-    The cyclic collector is off for the duration of the run (after a
-    full collect, so every run starts from the same heap state): with a
-    10^5-object workload resident, a collection pass costs more than a
-    whole tick, and *when* it fires depends on incidental per-tick
-    allocation counts — measured at a systematic ~10% penalty against
-    whichever variant allocates a handful more objects per tick, which
-    is exactly the kind of artifact a kernel comparison must exclude.
+def run_round(make_miner, ticks, warmup, rep):
+    """One timing round: a miner per path, fed the ticks in lockstep.
+
+    Every path gets tick ``t`` before any path sees tick ``t + 1``, in
+    an order rotated per tick and per round, so the paths' samples of a
+    tick are taken moments apart and host-speed drift — which on a
+    shared host moves whole runs by tens of percent, far more than a
+    2 ms owner-join tick — lands on every path alike.  Returns
+    ``{path: (per-tick emissions incl. flush, tick secs)}``, timing
+    every tick past the first ``warmup``.  The flush is outside the
+    timed window (its cost is per-candidate teardown, identical for
+    every path), but inside the emissions so the equivalence assertions
+    cover the whole answer.
+
+    The cyclic collector is off for the duration of the round (after a
+    full collect, so every round starts from the same heap state): with
+    a 10^5-object workload resident, a collection pass costs more than
+    a whole tick, and *when* it fires depends on incidental per-tick
+    allocation counts — exactly the kind of artifact a kernel
+    comparison must exclude.
     """
     if not warmup < len(ticks):
         raise ValueError(f"warmup {warmup} must be < ticks {len(ticks)}")
     gc.collect()
     gc.disable()
     try:
-        miner = make_miner()
-        emitted = []
-        tick_seconds = []
-        with miner:
+        out = {path: ([], []) for path in PATHS}
+        with ExitStack() as stack:
+            miners = {path: stack.enter_context(make_miner())
+                      for path in PATHS}
             for i, (t, snapshot) in enumerate(ticks):
-                started = time.perf_counter()
-                emitted.append(miner.feed(t, snapshot))
-                if i >= warmup:
-                    tick_seconds.append(time.perf_counter() - started)
-            emitted.append(miner.flush())
-        return emitted, dict(miner.counters), tick_seconds
+                offset = (rep + i) % len(PATHS)
+                for path in PATHS[offset:] + PATHS[:offset]:
+                    emitted, tick_seconds = out[path]
+                    with forced(path):
+                        started = time.perf_counter()
+                        emitted.append(miners[path].feed(t, snapshot))
+                        elapsed = time.perf_counter() - started
+                    if i >= warmup:
+                        tick_seconds.append(elapsed)
+            for path in PATHS:
+                out[path][0].append(miners[path].flush())
+        return out
     finally:
         gc.enable()
 
 
 def run_regime(regime, make_miner, ticks, warmup, reps):
-    """Time every kernel on one regime; assert identical emissions.
+    """Time every path on one regime; assert identical emissions.
 
-    The kernels are *interleaved* across ``reps`` full runs each, with
-    the order *rotated* every rep, and rated by the median across tick
-    positions of the **minimum** per-tick time over the reps.
-    Interleaving keeps whole-process drift (allocator warmup,
-    frequency scaling, a stray GC pause) from folding into whichever
-    kernel ran during it; rotation keeps any *systematic*
-    position-in-cycle effect (measured at up to ~15% between cycle
-    slots on a noisy container) from always taxing the same kernel;
-    the per-tick min is the standard noise-robust estimator —
-    scheduling noise only ever *adds* time, so the best observation of
-    a deterministic tick is the closest to its true cost.
+    ``reps`` lockstep rounds (:func:`run_round`); each path is rated by
+    the median across tick positions of the **minimum** per-tick time
+    over the rounds — the standard noise-robust estimator: scheduling
+    noise only ever *adds* time, so the best observation of a
+    deterministic tick is the closest to its true cost.
     """
-    times = {kernel: [] for kernel in KERNELS}
-    dispatch = {kernel: None for kernel in KERNELS}
+    times = {path: [] for path in PATHS}
     baseline = None
     for rep in range(reps):
-        rotated = KERNELS[rep % len(KERNELS):] + KERNELS[:rep % len(KERNELS)]
-        for kernel in rotated:
-            emitted, counters, tick_seconds = run_timed(
-                lambda: make_miner(kernel), ticks, warmup
-            )
+        for path, (emitted, tick_seconds) in run_round(
+            make_miner, ticks, warmup, rep
+        ).items():
             if baseline is None:
                 baseline = emitted
             else:
                 assert emitted == baseline, (
-                    f"{kernel} diverged from scalar on the "
-                    f"{regime} regime"
+                    f"{path} diverged on the {regime} regime"
                 )
-            times[kernel].append(tick_seconds)
-            if kernel == "auto":
-                counts = dispatch[kernel] or dict.fromkeys(
-                    ("scalar", "merge", "bitset"), 0
-                )
-                for name in counts:
-                    counts[name] += counters.get(f"dispatch_{name}", 0)
-                dispatch[kernel] = counts
+            times[path].append(tick_seconds)
     convoys = sum(len(batch) for batch in baseline)
     rows = []
-    for kernel in KERNELS:
-        reps_seconds = times[kernel]
+    for path in PATHS:
+        reps_seconds = times[path]
         best_per_tick = [min(col) for col in zip(*reps_seconds)]
-        median = statistics.median(best_per_tick)
         rows.append({
             "regime": regime,
-            "kernel": kernel,
+            "path": path,
             "snapshots": sum(len(rep) for rep in reps_seconds),
             "seconds": sum(sum(rep) for rep in reps_seconds),
-            "rate": safe_rate(1, median),
+            "rate": safe_rate(1, statistics.median(best_per_tick)),
             "convoys": convoys,
-            "dispatch_ticks": dispatch[kernel],
         })
     return rows
 
 
 def check_transports(ticks, clusters):
-    """Assert tick-for-tick equivalence across kernels x transports."""
+    """Assert tick-for-tick equivalence across paths x transports."""
     baseline = None
-    for kernel in KERNELS:
+    for path in PATHS:
         for shards, executor in TRANSPORTS:
             miner = StreamingConvoyMiner(
                 M, K, EPS, clusterer=ReplayClusterer(clusters),
-                match_kernel=kernel, shards=shards, executor=executor,
+                shards=shards, executor=executor,
             )
             emitted = []
-            with miner:
+            with forced(path), miner:
                 for t, snapshot in ticks:
                     emitted.append(miner.feed(t, snapshot))
                 emitted.append(miner.flush())
@@ -226,55 +244,74 @@ def check_transports(ticks, clusters):
                 baseline = emitted
             else:
                 assert emitted == baseline, (
-                    f"kernel {kernel} diverged on transport "
+                    f"path {path} diverged on transport "
                     f"(shards={shards}, executor={executor})"
                 )
-    return len(KERNELS) * len(TRANSPORTS)
+    return len(PATHS) * len(TRANSPORTS)
 
 
 def run_all(smoke):
     dense_scale = SMOKE_DENSE if smoke else FULL_DENSE
     small_scale = SMOKE_SMALL if smoke else FULL_SMALL
+    tracker_scale = SMOKE_TRACKER if smoke else FULL_TRACKER
     reps = 1 if smoke else 5
     dense_ticks, dense_clusters = make_dense_workload(dense_scale)
     small_ticks = make_small_workload(small_scale)
+    tracker_ticks, tracker_clusters = make_tracker_workload(tracker_scale)
 
-    def dense_miner(kernel):
-        return StreamingConvoyMiner(
-            M, K, EPS, clusterer=ReplayClusterer(dense_clusters),
-            match_kernel=kernel,
+    def replay_miner(clusters):
+        return lambda: StreamingConvoyMiner(
+            M, K, EPS, clusterer=ReplayClusterer(clusters)
         )
 
-    def small_miner(kernel):
-        return StreamingConvoyMiner(
-            M, K, EPS, clusterer="incremental", match_kernel=kernel,
-        )
+    def small_miner():
+        return StreamingConvoyMiner(M, K, EPS, clusterer="incremental")
 
     rows = run_regime(
-        "dense", dense_miner, dense_ticks, dense_scale["warmup"], reps
+        "dense", replay_miner(dense_clusters), dense_ticks,
+        dense_scale["warmup"], reps,
     )
     rows.extend(run_regime(
         "small-delta", small_miner, small_ticks, small_scale["warmup"],
         reps,
     ))
+    rows.extend(run_regime(
+        "tracker-bound", replay_miner(tracker_clusters), tracker_ticks,
+        tracker_scale["warmup"], reps,
+    ))
     grid_ticks, grid_clusters = make_dense_workload(SMOKE_DENSE)
     grid_runs = check_transports(grid_ticks, grid_clusters)
-    return dense_scale, small_scale, rows, grid_runs
+    scales = {"dense": dense_scale, "small-delta": small_scale,
+              "tracker-bound": tracker_scale}
+    return scales, rows, grid_runs
+
+
+def check_bars(rows):
+    """The acceptance failures of a full run (empty when it passes)."""
+    by_key = {(row["regime"], row["path"]): row["rate"] for row in rows}
+    failures = []
+    for regime in dict.fromkeys(row["regime"] for row in rows):
+        best = max(by_key[(regime, "pairwise")] or 0,
+                   by_key[(regime, "owner")] or 0)
+        selected = by_key[(regime, "selected")] or 0
+        if not best or selected < AUTO_BAR * best:
+            failures.append(
+                f"selected reached {selected / (best or 1):.2f}x the best "
+                f"forced path on the {regime} regime, below the "
+                f"{AUTO_BAR:.2f}x bar"
+            )
+    owner = by_key[("tracker-bound", "owner")] or 0
+    pairwise = by_key[("tracker-bound", "pairwise")] or 0
+    if not pairwise or owner < VECTOR_BAR * pairwise:
+        failures.append(
+            f"owner reached {owner / (pairwise or 1):.2f}x pairwise on the "
+            f"tracker-bound regime, below the {VECTOR_BAR:.1f}x bar"
+        )
+    return failures
 
 
 def fmt_rate(rate):
     return round(rate, 1) if rate is not None else "-"
-
-
-def fmt_dispatch(dispatch):
-    if dispatch is None:
-        return "-"
-    return "/".join(str(dispatch[name])
-                    for name in ("scalar", "merge", "bitset"))
-
-
-def regime_rows(rows, regime):
-    return [row for row in rows if row["regime"] == regime]
 
 
 def main(argv=None):
@@ -287,83 +324,55 @@ def main(argv=None):
     parser.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write the results as machine-readable JSON "
-        "(rates, dispatch counts, git SHA)",
+        "(rates, bars, git SHA)",
     )
     args = parser.parse_args(argv)
-    numpy_available = have_numpy()
-    dense_scale, small_scale, rows, grid_runs = run_all(args.smoke)
+    scales, rows, grid_runs = run_all(args.smoke)
     table_rows = []
-    for regime in ("dense", "small-delta"):
-        group = regime_rows(rows, regime)
-        scalar_rate = group[0]["rate"]
-        for row in group:
-            relative = (
-                f"{row['rate'] / scalar_rate:.2f}x"
-                if row["rate"] is not None and scalar_rate
-                else "-"
-            )
-            table_rows.append([
-                row["regime"], row["kernel"], row["snapshots"],
-                fmt_rate(row["rate"]), relative,
-                fmt_dispatch(row["dispatch_ticks"]),
-            ])
+    for row in rows:
+        pairwise = next(
+            other["rate"] for other in rows
+            if other["regime"] == row["regime"]
+            and other["path"] == "pairwise"
+        )
+        relative = (
+            f"{row['rate'] / pairwise:.2f}x"
+            if row["rate"] is not None and pairwise else "-"
+        )
+        table_rows.append([
+            row["regime"], row["path"], row["snapshots"],
+            fmt_rate(row["rate"]), relative,
+        ])
     print_report(
         format_table(
-            "Match kernels by regime "
-            f"(m={M}, k={K}, e={EPS:g}, numpy="
-            f"{'yes' if numpy_available else 'no — fallback kernels'}; "
-            f"identical convoys asserted across {grid_runs} "
-            "kernel-x-transport runs)",
-            ["regime", "kernel", "timed snaps", "snap/s", "vs scalar",
-             "dispatch s/m/b"],
+            f"Candidate-match join by regime (m={M}, k={K}, e={EPS:g}, "
+            f"owner join from a mean fan of "
+            f"{candidates.OWNER_JOIN_MIN_FAN}; identical convoys asserted "
+            f"across {grid_runs} path-x-transport runs)",
+            ["regime", "path", "timed snaps", "snap/s", "vs pairwise"],
             table_rows,
         )
     )
     if args.json:
         write_bench_json(
             args.json, "match_kernel",
-            dict(m=M, k=K, eps=EPS, smoke=args.smoke,
-                 numpy=numpy_available, dense_scale=dense_scale,
-                 small_scale=small_scale, bitset_bar=BITSET_BAR,
-                 auto_bar=AUTO_BAR, transport_runs=grid_runs),
+            dict(m=M, k=K, eps=EPS, smoke=args.smoke, scales=scales,
+                 owner_join_min_fan=candidates.OWNER_JOIN_MIN_FAN,
+                 vector_bar=VECTOR_BAR, auto_bar=AUTO_BAR,
+                 transport_runs=grid_runs),
             rows,
         )
         print(f"json results written to {args.json}")
     if args.smoke:
-        print("smoke ok: every kernel agrees with the scalar baseline "
-              "on every regime and transport")
+        print("smoke ok: every path agrees on every regime and transport")
         return 0
-    if not numpy_available:
-        print(
-            "note: numpy unavailable — the pure-Python bitset tier only "
-            f"promises equivalence, so the {BITSET_BAR:.1f}x dense bar "
-            "is skipped"
-        )
-        return 0
-    by_key = {(row["regime"], row["kernel"]): row for row in rows}
-    bitset = by_key[("dense", "bitset")]["rate"]
-    merge = by_key[("dense", "merge")]["rate"]
-    if not bitset or not merge or bitset < BITSET_BAR * merge:
-        raise SystemExit(
-            f"acceptance failure: bitset reached "
-            f"{(bitset or 0) / (merge or 1):.2f}x merge on the dense "
-            f"regime, below the {BITSET_BAR:.1f}x bar"
-        )
-    for regime in ("dense", "small-delta"):
-        group = regime_rows(rows, regime)
-        fixed = [row["rate"] for row in group
-                 if row["kernel"] != "auto" and row["rate"]]
-        auto = by_key[(regime, "auto")]["rate"]
-        if not fixed or not auto or auto < AUTO_BAR * max(fixed):
-            raise SystemExit(
-                f"acceptance failure: auto reached "
-                f"{(auto or 0) / max(fixed):.2f}x the best fixed kernel "
-                f"on the {regime} regime, below the {AUTO_BAR:.2f}x bar"
-            )
+    failures = check_bars(rows)
+    if failures:
+        raise SystemExit("acceptance failure: " + "; ".join(failures))
     print(
-        f"acceptance ok: bitset {bitset / merge:.2f}x merge on dense "
-        f"(bar {BITSET_BAR:.1f}x); auto within {AUTO_BAR:.2f}x of the "
-        "best fixed kernel in every regime"
+        f"acceptance ok: selected within {AUTO_BAR:.2f}x of the best "
+        f"forced path in every regime; owner >= {VECTOR_BAR:.1f}x pairwise "
+        "on tracker-bound"
     )
     return 0
 

@@ -95,6 +95,20 @@ Candidates carrying no support id (the previous step ran the classic
 ``tests/streaming/test_delta_equivalence.py`` holds the two paths equal
 tick for tick.
 
+The match join
+--------------
+
+Every step's scans reduce to one join: each scanning candidate against
+the clusters its scan names, keeping the pairs that share at least ``m``
+objects.  :func:`match_candidates` runs it with one of two pure-Python
+kernels, picked per call from the shape of the jobs alone (no option
+selects it): the pairwise reference :func:`match_pairwise`, one set
+intersection per scanned pair, for narrow scans; and the owner join
+:func:`match_owner_join`, at most one hash probe per candidate object,
+for wide ones.  Disjoint clusters are what make the owner join exact:
+an object has at most one owner, so a single pass over a candidate's
+objects counts its overlap with every scanned cluster at once.
+
 The shard seam
 --------------
 
@@ -131,18 +145,9 @@ The flag is off by default so the unsharded hot path records nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
+from typing import NamedTuple
 
 from repro.clustering.incremental import UNCHANGED
-from repro.clustering.numeric import (
-    KernelDispatch,
-    MatchPlanStats,
-    match_candidates_bitset,
-    match_candidates_merge,
-    match_candidates_vector,
-    validate_backend,
-    validate_match_kernel,
-)
 from repro.core.convoy import Convoy
 
 #: Counter keys a tracker maintains in its ``counters`` dict.
@@ -154,24 +159,71 @@ COUNTER_KEYS = (
 )
 
 
-def match_candidates(members, jobs, min_objects):
-    """Pure matching kernel shared by the serial path and shard workers.
+#: :func:`match_candidates` runs the owner join once a tick's jobs scan
+#: at least this many clusters each on average (``pairs >= fan × jobs``),
+#: and the pairwise reference below it.  Measured on a 2-vCPU host by
+#: replaying 438 recorded ticks from 6 regimes (each tick's exact
+#: ``(members, jobs)``, best of 5 runs per kernel): small-delta ticks
+#: scan 3-11 clusters per job, where the owner join reads 0.29-0.50x
+#: the pairwise loop; every other tick scans >= 29, where it reads
+#: 2.0-66x.  Any threshold from 12 to 28 picks the faster kernel on
+#: every one of those ticks.
+OWNER_JOIN_MIN_FAN = 16
 
-    Stateless and picklable by construction: this is the kernel resident
-    shard workers run over their share of a tick's jobs, and exactly
-    what the unsharded tracker runs inline.
+
+class MatchPlanStats(NamedTuple):
+    """Shape of one tick's match join: jobs and scanned pairs."""
+
+    jobs: int
+    pairs: int
+
+
+def match_plan_stats(members, jobs):
+    """Measure one tick's match-join shape, in O(jobs) ``len()`` calls.
+
+    ``pairs`` counts every scanned (candidate, cluster) pair — the
+    pairwise kernel's work — and is what :func:`match_candidates`
+    weighs against :data:`OWNER_JOIN_MIN_FAN`.
+    """
+    n_clusters = len(members)
+    pairs = 0
+    for _pos, _objects, scan in jobs:
+        pairs += n_clusters if scan is None else len(scan)
+    return MatchPlanStats(jobs=len(jobs), pairs=pairs)
+
+
+def match_candidates(members, jobs, min_objects):
+    """The candidate-match join, shared by the tracker and shard workers.
+
+    Picks its kernel from the shape of ``jobs`` on every call: the owner
+    join (:func:`match_owner_join`) when the scans are wide enough to
+    amortize building its owner table, the pairwise reference
+    (:func:`match_pairwise`) otherwise — see :data:`OWNER_JOIN_MIN_FAN`.
+    Both return identical output, so the choice only moves time.
 
     Args:
         members: list of cluster member ``frozenset``s for this step.
         jobs: list of ``(pos, objects, scan)`` triples — a candidate's
             position in the live list, its object set, and the cluster
             indexes to scan (``None`` scans every cluster).
-        min_objects: the convoy query's ``m``.
+        min_objects: the convoy query's ``m`` (``>= 1``).
 
     Returns:
         List of ``(pos, matches)`` pairs in job order, where ``matches``
         lists the ``(cluster_index, intersection)`` pairs with
         ``len(intersection) >= min_objects``, in scan order.
+    """
+    stats = match_plan_stats(members, jobs)
+    if stats.pairs >= OWNER_JOIN_MIN_FAN * stats.jobs:
+        return match_owner_join(members, jobs, min_objects)
+    return match_pairwise(members, jobs, min_objects)
+
+
+def match_pairwise(members, jobs, min_objects):
+    """The reference kernel: one set intersection per scanned pair.
+
+    Same contract as :func:`match_candidates`; every other kernel is
+    tested against this one.
     """
     out = []
     full_scan = range(len(members))
@@ -185,71 +237,71 @@ def match_candidates(members, jobs, min_objects):
     return out
 
 
-#: The fixed (per-tick-stateless) match kernels by name; ``auto`` is
-#: deliberately absent — it is a per-tick *policy* over these three,
-#: resolved by the tracker's :class:`~repro.clustering.numeric.
-#: KernelDispatch` before any kernel name ships to a shard.
-FIXED_MATCH_KERNELS = {
-    "scalar": match_candidates,
-    "merge": match_candidates_merge,
-    "bitset": match_candidates_bitset,
-}
+def match_owner_join(members, jobs, min_objects):
+    """The owner join: at most one hash probe per candidate object.
 
+    Same contract as :func:`match_candidates`.  Snapshot clusters are
+    disjoint, so each object has at most one *owner* cluster, and an
+    owner table over the scanned clusters answers every job from its
+    own objects alone:
 
-def resolve_match_kernel(backend, kernel=None):
-    """Map a numeric backend (plus optional kernel name) to its kernel.
+    * a candidate wholly inside the cluster owning one of its objects —
+      the steady state of a convoy, found by one C-speed subset test —
+      shares no object with any other cluster, so it matches that
+      cluster alone, as its own set;
+    * any other candidate counts its objects per owner in one pass and
+      matches each scanned cluster owning at least ``min_objects`` of
+      them, as ``objects & cluster``.
 
-    Module-level (hence picklable by reference): shard workers resolve
-    the kernel from the backend and kernel *names* shipped in their
-    task, so the task payload stays a plain data tuple.  With ``kernel``
-    None the backend decides (``"python"`` → the scalar kernel,
-    ``"vector"`` → the owner-join batch kernel); a fixed kernel name
-    (``"scalar"`` / ``"merge"`` / ``"bitset"``) overrides the backend.
-    Unknown names raise a :class:`ValueError` listing the valid choices
-    — never a bare :class:`KeyError` — and ``"auto"`` is rejected here
-    because dispatch is stateful and resolves per tick in the tracker.
+    Overlapping scanned clusters (legal under the contract, never
+    produced by DBSCAN) fall back to :func:`match_pairwise`.
     """
-    kernel = validate_match_kernel(kernel)
-    if kernel == "auto":
-        raise ValueError(
-            "auto dispatch resolves per tick inside the tracker; "
-            "resolve_match_kernel accepts only the fixed kernels "
-            f"{tuple(FIXED_MATCH_KERNELS)} or None"
-        )
-    if kernel is not None:
-        return FIXED_MATCH_KERNELS[kernel]
-    if validate_backend(backend) == "vector":
-        return match_candidates_vector
-    return match_candidates
-
-
-def match_plan_stats(members, jobs):
-    """Measure one tick's match-join shape for the kernel dispatcher.
-
-    Computed by the plan pass (over the very jobs list it just built)
-    before any kernel runs: job/cluster/pair counts, total candidate and
-    member id volume, per-scan candidate-id volume, and the candidate
-    population bound.  Deliberately O(jobs + clusters) — only ``len()``
-    arithmetic, no per-object work — so the measuring pass costs nothing
-    next to even the cheapest kernel on a tiny tick.  ``population`` is
-    therefore the *total* job id count, an upper bound on the bitset
-    remap width that is exact when candidates are disjoint; the
-    dispatcher's cost fit only needs the feature to scale consistently.
-    See :class:`~repro.clustering.numeric.MatchPlanStats`.
-    """
-    n_clusters = len(members)
-    member_ids = sum(len(cluster) for cluster in members)
-    pairs = job_ids = scan_ids = 0
-    for _pos, objects, scan in jobs:
-        size = len(objects)
-        fan = n_clusters if scan is None else len(scan)
-        pairs += fan
-        job_ids += size
-        scan_ids += fan * size
-    return MatchPlanStats(
-        jobs=len(jobs), clusters=n_clusters, pairs=pairs, job_ids=job_ids,
-        member_ids=member_ids, scan_ids=scan_ids, population=job_ids,
-    )
+    scan_sets = {}  # id(scan) -> frozenset(scan); jobs share scan tuples
+    full = False
+    for _pos, _objects, scan in jobs:
+        if scan is None:
+            full = True
+        elif id(scan) not in scan_sets:
+            scan_sets[id(scan)] = frozenset(scan)
+    scanned = (range(len(members)) if full
+               else frozenset().union(*scan_sets.values()))
+    owner_of = {}
+    owned = 0
+    for index in scanned:
+        cluster = members[index]
+        owner_of.update(dict.fromkeys(cluster, index))
+        owned += len(cluster)
+    if owned != len(owner_of):
+        return match_pairwise(members, jobs, min_objects)
+    owner = owner_of.get
+    out = []
+    for pos, objects, scan in jobs:
+        wanted = None if scan is None else scan_sets[id(scan)]
+        home = owner(next(iter(objects), None))
+        if home is not None and objects <= members[home]:
+            if len(objects) >= min_objects and (wanted is None
+                                                or home in wanted):
+                out.append((pos, [(home, objects)]))
+            else:
+                out.append((pos, []))
+            continue
+        counts = {}
+        for obj in objects:
+            index = owner(obj)
+            if index is not None:
+                counts[index] = counts.get(index, 0) + 1
+        hits = [index for index, count in counts.items()
+                if count >= min_objects]
+        if wanted is None:
+            hits.sort()
+        elif hits:
+            hits = [index for index in hits if index in wanted]
+            if len(hits) > 1:
+                chosen = frozenset(hits)
+                hits = [index for index in scan if index in chosen]
+        out.append((pos, [(index, objects & members[index])
+                          for index in hits]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -341,21 +393,6 @@ class CandidateTracker:
         counters: optional dict receiving bookkeeping totals (the
             ``COUNTER_KEYS``); a fresh dict is created when omitted and is
             always available as :attr:`counters`.
-        backend: numeric backend for the matching kernel — ``"python"``
-            (default) runs :func:`match_candidates`'s pairwise set
-            intersections; ``"vector"`` runs the batch join of
-            :func:`~repro.clustering.numeric.match_candidates_vector`.
-            Both produce identical matches, so the tracker's output is
-            bit-for-bit the same either way.
-        match_kernel: optional match-kernel override — one of
-            :data:`~repro.clustering.numeric.MATCH_KERNELS`.  A fixed
-            name (``"scalar"`` / ``"merge"`` / ``"bitset"``) pins that
-            kernel regardless of backend; ``"auto"`` lets a
-            :class:`~repro.clustering.numeric.KernelDispatch` pick per
-            tick from the plan pass's measured join shape (and counts
-            its choices in ``dispatch_scalar`` / ``dispatch_merge`` /
-            ``dispatch_bitset``).  Every kernel produces identical
-            matches, so this knob only moves time, never output.
 
     Usage: call :meth:`advance` (or, with cluster diffs available,
     :meth:`advance_delta`) once per time step (or partition) with the
@@ -364,17 +401,7 @@ class CandidateTracker:
     """
 
     def __init__(self, min_objects, min_lifetime, paper_semantics=False,
-                 counters=None, backend="python", match_kernel=None):
-        self._numeric_backend = validate_backend(backend)
-        self._match_kernel = validate_match_kernel(match_kernel)
-        if self._match_kernel == "auto":
-            self._dispatch = KernelDispatch()
-            self._kernel = None
-        else:
-            self._dispatch = None
-            self._kernel = resolve_match_kernel(
-                self._numeric_backend, self._match_kernel
-            )
+                 counters=None):
         if min_objects < 1:
             raise ValueError(f"m must be >= 1, got {min_objects}")
         if min_lifetime < 1:
@@ -392,9 +419,6 @@ class CandidateTracker:
         self.counters = counters if counters is not None else {}
         for key in COUNTER_KEYS:
             self.counters.setdefault(key, 0)
-        if self._dispatch is not None:
-            for name in KernelDispatch.KERNELS:
-                self.counters.setdefault(f"dispatch_{name}", 0)
 
     def _begin_step(self, window_start, window_end):
         """Validate one step's window against the step-ordering contract."""
@@ -444,15 +468,7 @@ class CandidateTracker:
         shard workers; result order is irrelevant (the caller keys by
         position), so any merge of the per-shard outputs is legal.
         """
-        if self._dispatch is None:
-            return self._kernel(members, jobs, self._m)
-        stats = match_plan_stats(members, jobs)
-        name = self._dispatch.choose(stats)
-        self.counters[f"dispatch_{name}"] += 1
-        started = perf_counter()
-        out = FIXED_MATCH_KERNELS[name](members, jobs, self._m)
-        self._dispatch.observe(name, stats, perf_counter() - started)
-        return out
+        return match_candidates(members, jobs, self._m)
 
     def advance(self, clusters, window_start, window_end):
         """Process one time step covering ``[window_start, window_end]``.

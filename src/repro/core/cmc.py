@@ -27,7 +27,7 @@ from repro.streaming.engine import StreamingConvoyMiner
 
 def cmc(database, m, k, eps, time_range=None, counters=None,
         paper_semantics=False, allowed_at=None, clusterer=None,
-        backend=None, store=None, match_kernel=None):
+        backend=None, store=None):
     """Run the CMC convoy-discovery algorithm.
 
     Args:
@@ -63,22 +63,16 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
             re-intersection; a pre-built ``IncrementalSnapshotClusterer``
             instance (e.g. with an adaptive churn threshold) is accepted
             too.
-        backend: numeric backend for the per-snapshot hot kernels,
-            forwarded to the miner — ``None``/``"python"`` (default) or
-            ``"vector"`` (batched contiguous-array kernels, identical
-            answer; see :mod:`repro.clustering.numeric`).
+        backend: the snapshot-clustering index, forwarded to the
+            miner — ``None``/``"python"`` (default) or ``"vector"``
+            (the batched contiguous-array index, identical answer; see
+            :mod:`repro.clustering.numeric`).
         store: optional write-through persistence, forwarded to the
             miner — a :class:`~repro.store.base.ConvoyStore` or a path
             to a SQLite store; every convoy is persisted (with its
             bounding box) as the batch sweep closes it, idempotent on
             convoy identity, so re-running a batch over the same data
             adds nothing.  The returned list is unchanged.
-        match_kernel: optional match-kernel override for the candidate
-            step, forwarded to the miner — one of
-            :data:`~repro.clustering.numeric.MATCH_KERNELS`
-            (``"auto"`` / ``"scalar"`` / ``"merge"`` / ``"bitset"``);
-            ``None`` (default) follows ``backend``.  Identical answer
-            either way, only the per-snapshot matching cost moves.
 
     Returns:
         List of :class:`repro.core.convoy.Convoy`, in discovery order.
@@ -112,7 +106,6 @@ def cmc(database, m, k, eps, time_range=None, counters=None,
     miner = StreamingConvoyMiner(
         m, k, eps, paper_semantics=paper_semantics, counters=counters,
         clusterer=clusterer, backend=backend, store=store,
-        match_kernel=match_kernel,
     )
     results = []
     # The context manager releases a path-opened store (and any pooled

@@ -25,19 +25,24 @@ partition explicit:
   ``tests/streaming/test_sharded_equivalence.py`` across both
   transports, pipelines, and mid-run worker restarts.
 
-The tracker speaks a three-message protocol with its workers:
+The tracker speaks a three-message protocol with its workers, one
+tuple shape per message:
 
-* ``init`` seeds (or wholesale replaces) one shard's state from the
-  parent's authoritative live list — sent whenever the transport reports
-  a new worker *generation* (first use, restart, crash recovery), and
-  the seam a future rebalancer uses to move a shard;
-* ``step`` ships only what changed: the tick's cluster member sets, the
-  shard's job *ids* (``(pos, chain_id, scan)`` — no object sets), and
-  the put/drop delta the previous apply pass produced.  Workers return
-  match *indexes only*; the parent re-derives the winning intersections
-  from its own authoritative sets;
-* ``snapshot`` drains a shard's state back (rebalance/close, and the
-  differential suite's state checks).
+* ``("init", m, entries)`` seeds (or wholesale replaces) one shard's
+  state from the parent's authoritative live list — sent whenever the
+  transport reports a new worker *generation* (first use, restart,
+  crash recovery), and the seam a future rebalancer uses to move a
+  shard;
+* ``("step", members, ops, jobs)`` ships only what changed: the tick's
+  cluster member sets, the shard's job *ids* (``(pos, chain_id,
+  scan)`` — no object sets), and the put/drop delta the previous apply
+  pass produced.  Workers run
+  :func:`~repro.core.candidates.match_candidates`, the same join the
+  unsharded tracker runs, and return match *indexes only*; the parent
+  re-derives the winning intersections from its own authoritative
+  sets;
+* ``("snapshot",)`` drains a shard's state back (rebalance/close, and
+  the differential suite's state checks).
 
 Chain ids come from the apply-pass provenance the base tracker records
 (``_collect_provenance``): a splice or full-member-set extension
@@ -52,9 +57,8 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-from time import perf_counter
 
-from repro.core.candidates import CandidateTracker, match_plan_stats
+from repro.core.candidates import CandidateTracker
 from repro.streaming.executor import resolve_executor
 
 #: Counter keys a sharded tracker adds to its ``counters`` dict.
@@ -118,14 +122,8 @@ class ShardedCandidateTracker(CandidateTracker):
     :data:`COUNTER_KEYS` bookkeeping.
 
     Args:
-        min_objects, min_lifetime, paper_semantics, counters, backend,
-        match_kernel:
-            as for :class:`~repro.core.candidates.CandidateTracker`
-            (``backend`` picks the numeric matching kernel the shard
-            workers run; ``match_kernel`` pins a fixed kernel or, with
-            ``"auto"``, lets the dispatcher pick per tick — the chosen
-            kernel *name* ships in the step message; identical matches
-            every way).
+        min_objects, min_lifetime, paper_semantics, counters:
+            as for :class:`~repro.core.candidates.CandidateTracker`.
         shards: number of partitions (``>= 1``; 1 still routes every
             batch through the transport, which is how the scaling bench
             isolates pure layer overhead).
@@ -139,11 +137,10 @@ class ShardedCandidateTracker(CandidateTracker):
     """
 
     def __init__(self, min_objects, min_lifetime, shards,
-                 executor="serial", paper_semantics=False, counters=None,
-                 backend="python", match_kernel=None):
+                 executor="serial", paper_semantics=False, counters=None):
         super().__init__(
             min_objects, min_lifetime, paper_semantics=paper_semantics,
-            counters=counters, backend=backend, match_kernel=match_kernel,
+            counters=counters,
         )
         shards = int(shards)
         if shards < 1:
@@ -209,21 +206,6 @@ class ShardedCandidateTracker(CandidateTracker):
             self._route_cache[support] = shard
         return shard
 
-    def _choose_kernel(self, members, jobs):
-        """Pick this tick's fixed kernel name to ship to the shards.
-
-        Returns ``(kernel name or None, MatchPlanStats or None)`` —
-        stats are only computed (and the choice only counted) under
-        ``"auto"`` dispatch; the caller feeds the measured tick cost
-        back via :meth:`KernelDispatch.observe` when stats are present.
-        """
-        if self._dispatch is None:
-            return self._match_kernel, None
-        stats = match_plan_stats(members, jobs)
-        name = self._dispatch.choose(stats)
-        self.counters[f"dispatch_{name}"] += 1
-        return name, stats
-
     def _shard_entries(self, shard):
         """The authoritative ``(chain_id, objects)`` state of one shard."""
         return [
@@ -237,26 +219,21 @@ class ShardedCandidateTracker(CandidateTracker):
     def _queue_op(self, shard, op):
         self._pending_ops.setdefault(shard, []).append(op)
 
-    def _shard_messages(self, shard, members=None, jobs=(), kernel=None):
+    def _shard_messages(self, shard, members=None, jobs=()):
         """Build one shard's message batch, handling (re)seeding.
 
         When the transport reports a generation the tracker has not
         seeded (first use, restart, crash recovery), pending deltas are
         discarded and a full ``init`` is sent instead — the worker's
         state is gone, so the only sound move is wholesale replacement
-        from the parent's authoritative live list.  A per-tick kernel
-        name (fixed ``match_kernel`` or the dispatcher's choice) rides
-        as a fifth ``step`` element; without one the message keeps its
-        four-element shape and the worker falls back to the kernel its
-        ``init`` backend implies.
+        from the parent's authoritative live list.
         """
         messages = []
         generation = self._backend.generation(shard)
         if self._seen_gen.get(shard) != generation:
             self._pending_ops.pop(shard, None)
             messages.append(
-                ("init", self._m, self._numeric_backend,
-                 self._shard_entries(shard))
+                ("init", self._m, self._shard_entries(shard))
             )
             self._seen_gen[shard] = generation
             self.counters["resident_inits"] += 1
@@ -264,13 +241,10 @@ class ShardedCandidateTracker(CandidateTracker):
         else:
             ops = tuple(self._pending_ops.pop(shard, ()))
         if ops or jobs:
-            step = ("step", members or (), ops, tuple(jobs))
-            if kernel is not None:
-                step += (kernel,)
-            messages.append(step)
+            messages.append(("step", members or (), ops, tuple(jobs)))
         return messages
 
-    def _build_batches(self, members, jobs, kernel):
+    def _build_batches(self, members, jobs):
         """Bucket the step's jobs by home shard into message batches.
 
         Returns ``(batches, unmap)``: the ``(shard, messages)`` pairs to
@@ -309,8 +283,7 @@ class ShardedCandidateTracker(CandidateTracker):
                     ]
                     unmap[shard] = used
             messages = self._shard_messages(
-                shard, members=shard_members, jobs=bucket,
-                kernel=kernel if bucket else None,
+                shard, members=shard_members, jobs=bucket
             )
             if messages:
                 batches.append((shard, messages))
@@ -355,18 +328,14 @@ class ShardedCandidateTracker(CandidateTracker):
 
     def _match_live(self, members, jobs):
         """Ship per-shard step messages; reconstruct matches from indexes."""
-        kernel, stats = self._choose_kernel(members, jobs)
-        batches, unmap = self._build_batches(members, jobs, kernel)
+        batches, unmap = self._build_batches(members, jobs)
         if not batches:
             return []
         if self._byte_accounting:
             self.counters["shipped_bytes"] += len(
                 pickle.dumps(batches, pickle.HIGHEST_PROTOCOL)
             )
-        started = perf_counter()
         responses = self._backend.run(batches)
-        if stats is not None:
-            self._dispatch.observe(kernel, stats, perf_counter() - started)
         if self._byte_accounting:
             self.counters["result_bytes"] += len(
                 pickle.dumps(responses, pickle.HIGHEST_PROTOCOL)

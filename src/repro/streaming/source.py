@@ -23,9 +23,9 @@ adapters cover the workloads:
   :func:`hotspot_drift_scenario`) — a seeded generator where most objects
   ride in rigid packs around hotspot centers that *drift* across the
   world, bouncing off its walls.  Every pack is a persistent dense
-  cluster with a large, stable membership — the dense-candidate regime
-  of ``benchmarks/bench_match_kernel.py`` and the first slice of the
-  million-object scenario harness (ROADMAP item 5).
+  cluster with a large, stable membership — the dense regime of the
+  candidate-match join bench in ``benchmarks/`` and the first slice of
+  the million-object scenario harness.
 
 Both generators additionally accept ``jitter=``: a seeded bounded shuffle
 (:func:`jitter_ticks`) that emits the same ticks realistically out of

@@ -7,17 +7,14 @@ None, the exact seam the kernels consult at call time):
 * unit tests for :class:`PositionStore` and :class:`VectorGridIndex`
   (swap-remove bookkeeping, GridIndex-identical single-query answers);
 * hypothesis oracle properties — batched neighbourhood queries equal
-  the O(N²) scan, vector cell ids equal the scalar floor-divide,
-  ``dbscan(backend="vector")`` equals ``dbscan_brute_force``, and
-  :func:`match_candidates_vector` equals the pure-Python kernel on
-  random id sets (including overlapping cluster families);
+  the O(N²) scan, vector cell ids equal the scalar floor-divide, and
+  ``dbscan(backend="vector")`` equals ``dbscan_brute_force``;
 * an import-shim test reloading the module with ``numpy`` masked out of
   ``sys.modules``, pinning that a numpy-less host imports cleanly.
 """
 
 import importlib
 import math
-import random
 import sys
 
 import pytest
@@ -31,10 +28,8 @@ from repro.clustering.numeric import (
     NUMERIC_BACKENDS,
     PositionStore,
     VectorGridIndex,
-    match_candidates_vector,
     validate_backend,
 )
-from repro.core.candidates import match_candidates, resolve_match_kernel
 
 coord = st.floats(min_value=-200, max_value=200, allow_nan=False)
 
@@ -61,10 +56,6 @@ class TestBackendNames:
         with pytest.raises(ValueError, match="fortran"):
             validate_backend("fortran")
 
-    def test_resolve_match_kernel(self):
-        assert resolve_match_kernel("python") is match_candidates
-        assert resolve_match_kernel(None) is match_candidates
-        assert resolve_match_kernel("vector") is match_candidates_vector
 
 
 class TestPositionStore:
@@ -246,82 +237,6 @@ class TestVectorGridIndexProperties:
         )
 
 
-def random_match_case(rng):
-    """One random matching instance: members, jobs (mixed scans), m."""
-    universe = range(rng.randrange(1, 80))
-    n_clusters = rng.randrange(0, 8)
-    if rng.random() < 0.3:
-        # Overlapping families exercise the merge-intersection path.
-        members = [
-            frozenset(rng.sample(universe, min(len(universe),
-                                               rng.randrange(1, 12))))
-            for _ in range(n_clusters)
-        ]
-    else:
-        # Disjoint families (the DBSCAN shape) exercise the owner join.
-        pool = list(universe)
-        rng.shuffle(pool)
-        members, cursor = [], 0
-        for _ in range(n_clusters):
-            size = rng.randrange(1, 9)
-            chunk = pool[cursor:cursor + size]
-            cursor += size
-            if chunk:
-                members.append(frozenset(chunk))
-    jobs = []
-    for pos in range(rng.randrange(0, 10)):
-        objects = frozenset(
-            rng.sample(universe, min(len(universe), rng.randrange(0, 15)))
-        )
-        if members and rng.random() < 0.5:
-            scan = tuple(sorted(rng.sample(
-                range(len(members)), rng.randrange(0, len(members) + 1)
-            )))
-        else:
-            scan = None
-        jobs.append((pos, objects, scan))
-    return members, jobs, rng.randrange(1, 5)
-
-
-class TestMatchKernelEquivalence:
-    @settings(max_examples=120, deadline=None)
-    @given(st.randoms(use_true_random=False))
-    def test_vector_equals_python_kernel(self, rng):
-        members, jobs, m = random_match_case(rng)
-        assert match_candidates_vector(members, jobs, m) == (
-            match_candidates(members, jobs, m)
-        )
-
-    def test_fallback_equals_python_kernel(self, monkeypatch):
-        monkeypatch.setattr(numeric, "np", None)
-        rng = random.Random(99)
-        for _ in range(150):
-            members, jobs, m = random_match_case(rng)
-            assert match_candidates_vector(members, jobs, m) == (
-                match_candidates(members, jobs, m)
-            )
-
-    def test_string_object_ids(self, numeric_mode):
-        members = [frozenset({"a", "b", "c"}), frozenset({"d", "e"})]
-        jobs = [(0, frozenset({"a", "b", "z"}), None),
-                (1, frozenset({"d", "e"}), (1,))]
-        assert match_candidates_vector(members, jobs, 2) == (
-            match_candidates(members, jobs, 2)
-        )
-
-    def test_empty_members_short_circuit(self, numeric_mode):
-        jobs = [(3, frozenset({"a"}), None), (7, frozenset(), ())]
-        assert match_candidates_vector([], jobs, 1) == [(3, []), (7, [])]
-        assert match_candidates_vector([], [], 1) == []
-
-    def test_kernel_is_picklable(self):
-        import pickle
-
-        for backend in NUMERIC_BACKENDS:
-            kernel = pickle.loads(pickle.dumps(resolve_match_kernel(backend)))
-            assert kernel is resolve_match_kernel(backend)
-
-
 class TestFallbackParity:
     """The two kernel modes (numpy / memoryview) must agree bit for bit."""
 
@@ -368,10 +283,6 @@ class TestImportShim:
                 1.0, {"a": (0, 0), "b": (0.5, 0), "c": (9, 9)}
             )
             assert set(index.neighbors_within((0, 0), 1.0)) == {"a", "b"}
-            out = shimmed.match_candidates_vector(
-                [frozenset({"a", "b"})], [(0, frozenset({"a", "b"}), None)], 2
-            )
-            assert out == [(0, [(0, frozenset({"a", "b"}))])]
         finally:
             del sys.modules["numpy"]
             sys.modules.update(saved_numpy)

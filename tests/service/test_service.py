@@ -42,6 +42,12 @@ class TestBuildMiner:
         with pytest.raises(ProtocolError, match="unknown config key"):
             build_miner(dict(CFG, shards=2, resident=True))
 
+    def test_match_kernel_key_rejected(self):
+        # The join picks its own kernel: a hello cannot name one.
+        with pytest.raises(ProtocolError,
+                           match="unknown config key.*match_kernel"):
+            build_miner(dict(CFG, match_kernel="bitset"))
+
     def test_missing_required_key_rejected(self):
         with pytest.raises(ProtocolError, match="missing required key 'eps'"):
             build_miner({"m": 3, "k": 3})

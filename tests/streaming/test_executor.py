@@ -7,11 +7,8 @@ import time
 
 import pytest
 
-from repro.core.candidates import (
-    FIXED_MATCH_KERNELS,
-    match_candidates,
-    resolve_match_kernel,
-)
+import repro.core.candidates as candidates
+from repro.core.candidates import match_candidates
 from repro.streaming.executor import (
     BACKENDS,
     ResidentProcessExecutor,
@@ -39,7 +36,7 @@ def _batches(shards=(0, 1)):
     out = []
     for shard in shards:
         out.append((shard, [
-            ("init", 2, "python",
+            ("init", 2,
              [(10 + shard, frozenset({"a", "b", "x"})),
               (20 + shard, frozenset({"d", "e"}))]),
             ("step", members,
@@ -58,7 +55,7 @@ def _population_batches(shards):
     """One ``init`` per shard whose population names the shard, so
     the response order shows which worker answered which batch."""
     return [
-        (shard, [("init", 2, "python", [
+        (shard, [("init", 2, [
             (100 * shard + i, frozenset({f"o{shard}-{i}", "x"}))
             for i in range(shard + 1)
         ])])
@@ -141,25 +138,31 @@ class TestBackendsBehaveIdentically:
         finally:
             backend.close()
 
-    @pytest.mark.parametrize("kernel", sorted(FIXED_MATCH_KERNELS))
-    def test_match_kernel_crosses_the_process_boundary(self, kernel):
-        """A step naming a fixed kernel answers identically in a spawned
-        worker, in the serial twin, and in the direct kernel call."""
-        members = [frozenset({"a", "b", "c"}), frozenset({"d", "e"}),
-                   frozenset({"a", "d", "e", "f"})]
-        chains = [(1, frozenset({"a", "b"})), (2, frozenset({"d", "e"})),
-                  (3, frozenset({"a", "f", "z"}))]
-        jobs = ((0, 1, None), (1, 2, (1, 2)), (2, 3, None))
+    @pytest.mark.parametrize("shape", ["narrow", "wide"])
+    def test_join_crosses_the_process_boundary(self, shape):
+        """A step answers identically in a spawned worker, in the serial
+        twin, and in the direct join call — on a narrow batch (the
+        pairwise path) and a wide one (the owner join)."""
+        fan = 2 if shape == "narrow" else candidates.OWNER_JOIN_MIN_FAN
+        members = [frozenset({f"o{i}", f"p{i}", f"q{i}"})
+                   for i in range(fan)]
+        chains = [(1, frozenset({"o0", "p0"})),
+                  (2, frozenset({"o1", "p1", "z"})),
+                  (3, frozenset({"o0", "o1"}))]
+        scan = tuple(range(fan - 1, -1, -1))
+        jobs = ((0, 1, None), (1, 2, scan), (2, 3, None))
         objects = dict(chains)
+        kernel_jobs = [(pos, objects[chain], scan)
+                       for pos, chain, scan in jobs]
+        stats = candidates.match_plan_stats(members, kernel_jobs)
+        wide = stats.pairs >= candidates.OWNER_JOIN_MIN_FAN * stats.jobs
+        assert wide == (shape == "wide")
         direct = tuple(
             (pos, tuple(index for index, _common in matches))
-            for pos, matches in match_candidates(
-                members, [(pos, objects[chain], scan)
-                          for pos, chain, scan in jobs], 2,
-            )
+            for pos, matches in match_candidates(members, kernel_jobs, 2)
         )
-        batches = [(0, [("init", 2, "python", chains),
-                        ("step", members, (), jobs, kernel)])]
+        assert direct == ((0, (0,)), (1, (1,)), (2, ()))
+        batches = [(0, [("init", 2, chains), ("step", members, (), jobs)])]
         answers = []
         for name in BACKENDS:
             backend = resolve_executor(name)
@@ -181,15 +184,15 @@ class TestResidentShardWorker:
             10: frozenset({"a", "b", "x"}),
             30: frozenset({"a", "c"}),
         }
-        pid, name, kernel, population = worker.handle(("probe",))
+        pid, name, population = worker.handle(("probe",))
         assert pid == os.getpid()
-        assert kernel == resolve_match_kernel("python").__name__
+        assert name == multiprocessing.current_process().name
         assert population == 2
 
     def test_init_replaces_state_wholesale(self):
         worker = ResidentShardWorker()
-        worker.handle(("init", 2, "python", [(1, frozenset({"a", "b"}))]))
-        worker.handle(("init", 2, "python", [(2, frozenset({"c", "d"}))]))
+        worker.handle(("init", 2, [(1, frozenset({"a", "b"}))]))
+        worker.handle(("init", 2, [(2, frozenset({"c", "d"}))]))
         assert worker.handle(("snapshot",)) == {2: frozenset({"c", "d"})}
 
     def test_strict_validation(self):
@@ -197,7 +200,7 @@ class TestResidentShardWorker:
         with pytest.raises(ResidentProtocolError, match="before init"):
             worker.handle(("step", [frozenset({"a", "b"})], (),
                            ((0, 1, None),)))
-        worker.handle(("init", 2, "python", []))
+        worker.handle(("init", 2, []))
         with pytest.raises(ResidentProtocolError, match="unknown chain"):
             worker.handle(("step", (), (("drop", 7),), ()))
         with pytest.raises(ResidentProtocolError, match="unknown chain"):
@@ -207,6 +210,24 @@ class TestResidentShardWorker:
             worker.handle(("step", (), (("merge", 1, 2),), ()))
         with pytest.raises(ResidentProtocolError, match="unknown resident"):
             worker.handle(("rebalance",))
+
+    @pytest.mark.parametrize("message", [
+        ("init", 2, "python", [(1, frozenset({"a", "b"}))]),
+        ("step", [frozenset({"a", "b"})], (), ((0, 1, None),), "bitset"),
+        ("step", [frozenset({"a", "b"})], ()),
+        ("probe", "kernel"),
+        ("snapshot", 1),
+    ], ids=["init-with-backend", "step-with-kernel", "short-step",
+            "long-probe", "long-snapshot"])
+    def test_old_message_shapes_rejected(self, message):
+        """One shape per message: the init that named a numeric backend
+        and the step that named a kernel are protocol errors, and a
+        rejected message leaves the worker's state untouched."""
+        worker = ResidentShardWorker()
+        worker.handle(("init", 2, [(1, frozenset({"a", "b"}))]))
+        with pytest.raises(ResidentProtocolError, match="malformed"):
+            worker.handle(message)
+        assert worker.handle(("snapshot",)) == {1: frozenset({"a", "b"})}
 
 
 class TestResidentTransports:
@@ -226,7 +247,7 @@ class TestResidentTransports:
     def test_state_persists_across_runs(self, name):
         backend = resolve_executor(name)
         try:
-            backend.run([(0, [("init", 2, "python",
+            backend.run([(0, [("init", 2,
                                [(1, frozenset({"a", "b"}))])])])
             [[snapshot]] = backend.run([(0, [("snapshot",)])])
             assert snapshot == {1: frozenset({"a", "b"})}
@@ -342,8 +363,8 @@ class TestProcessExecutorContext:
         backend = ResidentProcessExecutor()
         try:
             backend.run(_population_batches((0, 1)))
-            pid0, name0, _kernel, population0 = backend.probe(0)
-            pid1, name1, _kernel, population1 = backend.probe(1)
+            pid0, name0, population0 = backend.probe(0)
+            pid1, name1, population1 = backend.probe(1)
             assert len({pid0, pid1, os.getpid()}) == 3
             assert (name0, name1) == ("repro-resident-shard-0",
                                       "repro-resident-shard-1")
@@ -356,8 +377,8 @@ class TestProcessExecutorContext:
 
 
 class TestResidentProcessExecutor:
-    """The spawned per-shard pools: state residency, kernel resolution
-    from the backend *name*, crash semantics.  One class so the
+    """The spawned per-shard pools: state residency and crash
+    semantics.  One class so the
     expensive pool startups stay few."""
 
     def test_state_resides_in_a_named_spawned_worker(self):
@@ -366,7 +387,7 @@ class TestResidentProcessExecutor:
         before = _SPAWN_CANARY
         _SPAWN_CANARY = "parent-mutated"
         try:
-            backend.run([(0, [("init", 2, "vector",
+            backend.run([(0, [("init", 2,
                                [(1, frozenset({"a", "b"}))])])])
             # The pool pins an explicit spawn context (never the
             # platform default): the worker must report the module's
@@ -377,14 +398,10 @@ class TestResidentProcessExecutor:
             ).result()
             assert (name, canary) == ("repro-resident-shard-0",
                                       "import-time")
-            pid, name, kernel, population = backend.probe(0)
+            pid, name, population = backend.probe(0)
             # Real process residency, not an in-process fallback.
             assert pid != os.getpid()
             assert name == "repro-resident-shard-0"
-            # The worker resolved its kernel from the backend name
-            # shipped in init — the spawned process imported and chose
-            # the vector kernel itself (nothing callable was pickled).
-            assert kernel == resolve_match_kernel("vector").__name__
             assert population == 1
             # Same worker, same state, next round trip.
             [[snapshot]] = backend.run([(0, [("snapshot",)])])
@@ -398,9 +415,9 @@ class TestResidentProcessExecutor:
         backend = ResidentProcessExecutor()
         try:
             gen = backend.generation(0)
-            backend.run([(0, [("init", 2, "python",
+            backend.run([(0, [("init", 2,
                                [(1, frozenset({"a", "b"}))])])])
-            pid, _name, _kernel, _population = backend.probe(0)
+            pid, _name, _population = backend.probe(0)
             os.kill(pid, signal.SIGKILL)
             deadline = time.monotonic() + 30.0
             with pytest.raises(ShardWorkerCrashed, match="shard 0") as info:

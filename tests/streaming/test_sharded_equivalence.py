@@ -20,9 +20,6 @@ counters — across:
   buffer;
 * sharded *ingestion*: per-shard reorder buffers merged through a
   :class:`~repro.streaming.WatermarkFrontier` feeding a sharded miner;
-* the ``bitset`` match kernel run straight off the rows each resident
-  worker patches in place, with the rows decoded back against the
-  worker's object sets after every tick;
 * mid-run worker restarts (the generation re-seed path) and shard-state
   snapshots checked against the parent's authoritative view.
 
@@ -55,20 +52,13 @@ SHARED_COUNTER_KEYS = (
 )
 
 
-def run_lockstep_pair(ticks, base, sharded, *, require_sharding=True,
-                      after_tick=None):
-    """Feed both miners every tick; assert emissions and live state equal.
-
-    ``after_tick(sharded)``, when given, runs after every tick's checks
-    (before ``flush`` closes the sharded miner's workers).
-    """
+def run_lockstep_pair(ticks, base, sharded, *, require_sharding=True):
+    """Feed both miners every tick; assert emissions and live state equal."""
     for t, snapshot in ticks:
         expected = base.feed(t, dict(snapshot))
         got = sharded.feed(t, dict(snapshot))
         assert got == expected, f"tick {t}: sharded diverged"
         assert sharded.live_candidates == base.live_candidates, f"tick {t}"
-        if after_tick is not None:
-            after_tick(sharded)
     assert sharded.flush() == base.flush()
     for key in SHARED_COUNTER_KEYS:
         assert sharded.counters[key] == base.counters[key], key
@@ -171,9 +161,8 @@ class TestPooledExecutors:
         assert 1 <= sharded.counters["resident_inits"] <= 4
 
     def test_process_executor(self, make_miner):
-        """The python-backend kernel resolved inside spawned workers:
-        one full-pipeline run proves the delta round trip loses
-        nothing."""
+        """The join run inside spawned workers: one full-pipeline run
+        proves the delta round trip loses nothing."""
         ticks = list(churn_stream(60, 25, seed=79, eps=8.0, churn=0.12,
                                   area=96.0))
         run_lockstep_pair(
@@ -197,33 +186,13 @@ class TestPooledExecutors:
         )
 
 
-class BitsetRowCheck:
-    """``after_tick`` hook: every serial-twin worker's maintained bitset
-    rows decode to its authoritative object sets.  It reads the workers
-    without sending them a message, so the tracker's delta flow is
-    untouched; ``checked`` counts the worker states compared."""
-
-    def __init__(self):
-        self.checked = 0
-
-    def __call__(self, miner):
-        workers = miner.pipeline.track.tracker.executor._workers
-        for shard, worker in workers.items():
-            assert worker.bitset_rows() == worker.handle(("snapshot",)), (
-                f"shard {shard}"
-            )
-            self.checked += 1
-
-
 class TestResidentTransports:
-    """The process transport, the bitset rows, worker restarts, and
-    shard snapshots.
+    """The process transport, worker restarts, and shard snapshots.
 
     Workers hold their shard's candidate sets between ticks and are fed
     only deltas; nothing observable may move across the pickle boundary
-    or a worker's loss.  The ``bitset`` runs match every tick straight
-    off the rows each worker patches in place from the put/drop deltas,
-    so any drift between rows and state would change an emission."""
+    or a worker's loss: any drift between a worker's state and the
+    parent's would change an emission."""
 
     @pytest.mark.parametrize("paper_semantics", SEMANTICS)
     @pytest.mark.parametrize("pipeline", PIPELINES)
@@ -232,24 +201,20 @@ class TestResidentTransports:
                                    paper_semantics):
         ticks = list(churn_stream(80, 40, seed=61, eps=8.0, churn=0.1,
                                   turnover=0.03, area=96.0))
-        rows = BitsetRowCheck()
         _base, sharded = run_lockstep_pair(
             ticks,
             make_miner(pipeline, 3, 5, 8.0,
                        paper_semantics=paper_semantics),
             make_miner(pipeline, 3, 5, 8.0,
                        paper_semantics=paper_semantics,
-                       shards=shards, executor="serial",
-                       match_kernel="bitset"),
-            after_tick=rows,
+                       shards=shards, executor="serial"),
         )
         assert 1 <= sharded.counters["resident_inits"] <= shards
-        assert rows.checked > 0
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
     def test_resident_gaps_and_window(self, make_miner, pipeline):
         """Gap severing, pruning re-seeds, and support resets all churn
-        the resident chain ids; the bitset rows must track them."""
+        the resident chain ids; the workers must track them."""
         ticks = [
             (t, snapshot)
             for t, snapshot in churn_stream(70, 45, seed=67, eps=8.0,
@@ -257,15 +222,12 @@ class TestResidentTransports:
                                             area=96.0)
             if t % 11 != 7
         ]
-        rows = BitsetRowCheck()
         run_lockstep_pair(
             ticks,
             make_miner(pipeline, 3, 5, 8.0, window=7),
             make_miner(pipeline, 3, 5, 8.0, window=7, shards=3,
-                       executor="serial", match_kernel="bitset"),
-            after_tick=rows,
+                       executor="serial"),
         )
-        assert rows.checked > 0
 
     def test_resident_jittered_reorder(self, make_miner, fuzz_workload):
         base_ticks, feed, lateness = fuzz_workload(2)
@@ -276,7 +238,7 @@ class TestResidentTransports:
         expected.extend(plain.flush())
         sharded = make_miner(
             "delta", 3, 5, 8.0, reorder=dict(allowed_lateness=lateness),
-            shards=3, executor="serial", match_kernel="bitset",
+            shards=3, executor="serial",
         )
         got = []
         for t, snapshot in feed:
@@ -298,8 +260,8 @@ class TestResidentTransports:
 
     def test_resident_process(self, make_miner):
         """Long-lived spawned workers fed deltas across the pickle
-        boundary, with the vector kernel resolved from its name inside
-        the workers: the round trip loses nothing."""
+        boundary, with the vector clustering index in the parent: the
+        round trip loses nothing."""
         ticks = list(churn_stream(60, 25, seed=79, eps=8.0, churn=0.12,
                                   area=96.0))
         run_lockstep_pair(

@@ -21,8 +21,10 @@ from benchmarks.bench_sharded_scaling import (
     run_grid,
 )
 from benchmarks.bench_match_kernel import (
-    KERNELS as MATCH_KERNEL_ORDER,
+    AUTO_BAR,
+    PATHS as MATCH_PATHS,
     SMOKE_SMALL,
+    check_bars,
     make_small_workload,
     run_regime,
 )
@@ -216,18 +218,17 @@ class TestNonFiniteSanitization:
 
 class TestVectorKernelBenchSchema:
     """Schema guard for ``BENCH_vector_kernel.json``: the trajectory
-    consumers chart the backend speedups keyed on these row fields."""
+    consumers chart the clustering-backend speedups keyed on these row
+    fields."""
 
     ROW_KEYS = {
         "workload", "snapshots", "python_rate", "vector_rate", "speedup",
-        "python_seconds", "vector_seconds", "convoys", "dispatch",
+        "python_seconds", "vector_seconds", "convoys",
     }
 
     def test_rows_are_stable_and_finite(self, tmp_path):
         _scale, _churn, rows = run_all(smoke=True)
-        assert [row["workload"] for row in rows] == [
-            "tracker", "dbscan", "incremental"
-        ]
+        assert [row["workload"] for row in rows] == ["dbscan", "incremental"]
         for row in rows:
             assert set(row) == self.ROW_KEYS
             assert row["snapshots"] > 0
@@ -236,14 +237,6 @@ class TestVectorKernelBenchSchema:
                 assert value is None or (
                     isinstance(value, float) and math.isfinite(value)
                 )
-        # only the incremental (small-delta) row is re-run under the
-        # auto dispatcher; the batch workloads keep the None marker.
-        assert rows[0]["dispatch"] is None
-        assert rows[1]["dispatch"] is None
-        dispatch = rows[2]["dispatch"]
-        assert dispatch is None or (
-            isinstance(dispatch, float) and math.isfinite(dispatch)
-        )
         path = tmp_path / "BENCH_vector_kernel.json"
         write_bench_json(path, "vector_kernel", {"smoke": True}, rows)
         loaded = json.load(open(path))
@@ -253,32 +246,29 @@ class TestVectorKernelBenchSchema:
 
 class TestMatchKernelBenchSchema:
     """Schema guard for ``BENCH_match_kernel.json``: the trajectory
-    consumers chart per-kernel rates and dispatch mixes keyed on these
-    row fields, so the bench's row shape is pinned here alongside the
-    writer's envelope."""
+    consumers chart per-path rates keyed on these row fields, so the
+    bench's row shape is pinned here alongside the writer's envelope."""
 
     ROW_KEYS = {
-        "regime", "kernel", "snapshots", "seconds", "rate", "convoys",
-        "dispatch_ticks",
+        "regime", "path", "snapshots", "seconds", "rate", "convoys",
     }
 
     def rows(self):
         # A tiny churn workload keeps this a schema test, not a bench;
-        # run_regime still times all four kernels and asserts their
+        # run_regime still times all three paths and asserts their
         # emissions identical.
         scale = dict(SMOKE_SMALL, n_objects=40, n_snapshots=6, warmup=2)
         ticks = make_small_workload(scale)
 
-        def miner(kernel):
-            return StreamingConvoyMiner(
-                3, 2, 10.0, clusterer="incremental", match_kernel=kernel
-            )
+        def miner():
+            return StreamingConvoyMiner(3, 2, 10.0, clusterer="incremental")
 
         return run_regime("schema", miner, ticks, scale["warmup"], reps=1)
 
     def test_rows_are_stable_and_finite(self, tmp_path):
         rows = self.rows()
-        assert [row["kernel"] for row in rows] == list(MATCH_KERNEL_ORDER)
+        assert [row["path"] for row in rows] == list(MATCH_PATHS)
+        assert MATCH_PATHS == ("pairwise", "owner", "selected")
         for row in rows:
             assert set(row) == self.ROW_KEYS
             assert row["regime"] == "schema"
@@ -288,20 +278,38 @@ class TestMatchKernelBenchSchema:
             assert rate is None or (
                 isinstance(rate, float) and math.isfinite(rate)
             )
-        # fixed kernels carry no dispatch mix; auto counts every kernel.
-        for row in rows[:-1]:
-            assert row["dispatch_ticks"] is None
-        auto = rows[-1]
-        assert auto["kernel"] == "auto"
-        assert set(auto["dispatch_ticks"]) == {"scalar", "merge", "bitset"}
-        assert all(
-            count >= 0 for count in auto["dispatch_ticks"].values()
-        )
         path = tmp_path / "BENCH_match_kernel.json"
         write_bench_json(path, "match_kernel", {"smoke": True}, rows)
         loaded = json.load(open(path))
         assert loaded["bench"] == "match_kernel"
         assert set(loaded["rows"][0]) == self.ROW_KEYS
+
+    def test_bars(self):
+        """The selected path must reach ``AUTO_BAR`` of the best forced
+        path on every regime, and owner 3x pairwise on tracker-bound."""
+        def rows(rates):
+            return [
+                {"regime": regime, "path": path, "rate": rate}
+                for (regime, path), rate in rates.items()
+            ]
+
+        passing = {
+            ("small-delta", "pairwise"): 100.0,
+            ("small-delta", "owner"): 40.0,
+            ("small-delta", "selected"): 100.0 * AUTO_BAR,
+            ("tracker-bound", "pairwise"): 10.0,
+            ("tracker-bound", "owner"): 30.0,
+            ("tracker-bound", "selected"): 31.0,
+        }
+        assert check_bars(rows(passing)) == []
+        slow_rule = dict(passing)
+        slow_rule[("small-delta", "selected")] = 90.0
+        [failure] = check_bars(rows(slow_rule))
+        assert "small-delta" in failure and "0.90x" in failure
+        weak_owner = dict(passing)
+        weak_owner[("tracker-bound", "owner")] = 29.0
+        [failure] = check_bars(rows(weak_owner))
+        assert "2.90x pairwise" in failure
 
 
 class TestShardedScalingBenchSchema:

@@ -415,11 +415,10 @@ class TestStreamSharding:
         assert "sharding:" not in text
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_sharded_bitset_kernel_matches_unsharded(self, convoy_csv,
-                                                     tmp_path, executor):
-        """A fixed kernel reaches the shard workers through the CLI: the
-        bitset rows they maintain answer exactly like the unsharded
-        default, and the JSON params record the whole transport."""
+    def test_sharded_join_matches_unsharded(self, convoy_csv, tmp_path,
+                                            executor):
+        """The shard workers' join answers exactly like the unsharded
+        run, and the JSON params record the whole transport."""
         base_out = tmp_path / "base.csv"
         sharded_out = tmp_path / "sharded.csv"
         json_out = tmp_path / "sharded.json"
@@ -431,17 +430,15 @@ class TestStreamSharding:
         code, text = run_cli(
             ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
              "--shards", "2", "--executor", executor,
-             "--match-kernel", "bitset", "--output", str(sharded_out),
-             "--json", str(json_out)]
+             "--output", str(sharded_out), "--json", str(json_out)]
         )
         assert code == 0, text
         assert f"on the {executor} executor" in text
-        assert "match kernel dispatch" not in text
         assert sharded_out.read_text() == base_out.read_text()
         with open(json_out) as handle:
             params = json.load(handle)["params"]
-        assert (params["shards"], params["executor"],
-                params["match_kernel"]) == (2, executor, "bitset")
+        assert (params["shards"], params["executor"]) == (2, executor)
+        assert "match_kernel" not in params
 
     @pytest.mark.parametrize("flag", [["--resident"],
                                       ["--executor", "thread"]],
@@ -475,7 +472,7 @@ class TestStreamJson:
         assert payload["params"] == {
             "m": 2, "k": 10, "eps": 2.0, "paper_semantics": False,
             "window": None, "shards": None, "executor": None,
-            "backend": "python", "match_kernel": None,
+            "backend": "python",
         }
         # Round trip: rebuild the CSV rows from the JSON convoys.
         rebuilt = ["t_start,t_end,size,objects"]
@@ -684,43 +681,35 @@ class TestStreamStore:
         assert "convoy(s) matched" in text
 
 
-class TestStreamMatchKernel:
-    def test_rejects_unknown_kernel(self, convoy_csv, capsys):
+class TestStreamMatchJoin:
+    """The join picks its own kernel: no option selects it, and the
+    stream summary has no kernel line."""
+
+    @pytest.mark.parametrize("kernel", ["auto", "bitset"])
+    def test_match_kernel_option_rejected(self, convoy_csv, capsys, kernel):
         with pytest.raises(SystemExit) as exc:
             run_cli(["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                     "-e", "2.0", "--match-kernel", "turbo"])
-        assert exc.value.code == 2  # argparse choices reject it up front
+                     "-e", "2.0", "--match-kernel", kernel])
+        assert exc.value.code == 2
+        assert "--match-kernel" in capsys.readouterr().err
 
-    def test_every_kernel_matches_default_answer(self, convoy_csv, tmp_path):
-        base = tmp_path / "base.csv"
-        run_cli(["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                 "-e", "2.0", "--output", str(base)])
-        for kernel in ("scalar", "merge", "bitset", "auto"):
-            out = tmp_path / f"{kernel}.csv"
-            code, text = run_cli(
-                ["stream", str(convoy_csv), "-m", "2", "-k", "10",
-                 "-e", "2.0", "--match-kernel", kernel,
-                 "--output", str(out)]
-            )
-            assert code == 0, text
-            assert out.read_text() == base.read_text()
-
-    def test_auto_reports_dispatch_summary(self, convoy_csv):
+    def test_no_kernel_dispatch_line(self):
         code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--match-kernel", "auto"]
+            ["stream", "--synthetic", "50x20", "-m", "3", "-k", "5",
+             "-e", "10", "--backend", "vector"]
         )
         assert code == 0
-        assert "match kernel dispatch:" in text
+        assert "dispatch" not in text
 
-    def test_fixed_kernel_has_no_dispatch_summary(self, convoy_csv):
-        code, text = run_cli(
-            ["stream", str(convoy_csv), "-m", "2", "-k", "10", "-e", "2.0",
-             "--match-kernel", "bitset"]
-        )
-        assert code == 0
-        assert "match kernel dispatch:" not in text
+    def test_backend_help_names_the_clustering_index(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["stream", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--backend {python,vector} clustering index" in help_text
+        assert "match" not in help_text
 
+
+class TestStreamBackendFallbackNote:
     def test_vector_backend_notes_numpy_fallback(self, convoy_csv,
                                                  monkeypatch):
         import repro.cli as cli_module
